@@ -28,7 +28,6 @@ import numpy as np
 
 from .matrix_core import EXACT, FLOAT, StochasticMatrix
 from .equilibrium import (
-    minor_weights,
     relative_probability,
     stationary,
     verify_equilibrium,
@@ -102,6 +101,14 @@ def _content_lines(text):
     return out
 
 
+def _matrix_entry(token, mode, where):
+    value = _fraction_from_text(token)
+    try:
+        return value if mode == EXACT else float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: {token} overflows a float") from None
+
+
 def _parse_matrix_text(text, mode):
     rows_tokens = []
     kinds = set()
@@ -126,12 +133,9 @@ def _parse_matrix_text(text, mode):
                 f"got {len(row)}")
     if mode is None:
         mode = FLOAT if "decimal" in kinds else EXACT
-    if mode == EXACT:
-        rows = [[_fraction_from_text(t) for t in row]
-                for _, row in rows_tokens]
-    else:
-        rows = [[float(_fraction_from_text(t)) for t in row]
-                for _, row in rows_tokens]
+    rows = [[_matrix_entry(tok, mode, f"line {lineno}, entry {col}")
+             for col, tok in enumerate(row, start=1)]
+            for lineno, row in rows_tokens]
     try:
         sm = StochasticMatrix(rows, mode=mode)
     except ValueError as exc:
@@ -220,9 +224,9 @@ def _parse_json_document(text, mode):
         raise ParseError(f"unknown document kind {doc['kind']!r}")
     has_decimal = False
     values = []
-    for row in rows:
+    for r, row in enumerate(rows, start=1):
         out = []
-        for x in row:
+        for c, x in enumerate(row, start=1):
             if isinstance(x, str):
                 kind_x = _classify(x)
                 if kind_x is None:
@@ -234,6 +238,9 @@ def _parse_json_document(text, mode):
             elif isinstance(x, int):
                 out.append(Fraction(x))
             elif isinstance(x, float):
+                if not np.isfinite(x):
+                    raise ParseError(
+                        f"entry at row {r}, column {c} is not finite")
                 has_decimal = True
                 out.append(Fraction(x))
             else:
@@ -395,14 +402,16 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    sm = _working_matrix(doc, args)
-    w = minor_weights(sm)
+    res = stationary(_working_matrix(doc, args),
+                     edge_threshold=args.edge_threshold)
+    w = res.weights
     total = w.sum()
     payload = {"kind": "weights", "mode": doc.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
     lines = [f"w = {_fmt_vector(w)}", f"total = {_fmt_scalar(total)}"]
     _emit(args, lines, payload)
-    return 0 if total > 0 else 2
+    # float weights may underflow to zero: structure decides the exit code
+    return 0 if res.unique else 2
 
 
 def _cmd_classes(doc, args):
@@ -457,10 +466,12 @@ def _parse_vector(text):
         if not isinstance(doc, list):
             raise ParseError("JSON input does not contain a 'pi' vector")
         out = []
-        for x in doc:
+        for k, x in enumerate(doc, start=1):
             if isinstance(x, str):
                 out.append(_fraction_from_text(x))
-            elif isinstance(x, (int, float)):
+            elif isinstance(x, float) and not np.isfinite(x):
+                raise ParseError(f"vector entry {k} is not finite")
+            elif isinstance(x, (int, float)) and not isinstance(x, bool):
                 out.append(x)
             else:
                 raise ParseError(f"malformed vector entry {x!r}")
@@ -650,7 +661,7 @@ def main(argv=None):
         print(f"error: node {exc.node + 1} has no outgoing edges; "
               f"the random walk is undefined", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, ZeroDivisionError) as exc:
+    except (ParseError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

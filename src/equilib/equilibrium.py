@@ -1,11 +1,16 @@
 """Stationary distributions from the principal minors of ``I - P``.
 
 For a row-stochastic matrix ``P`` the weights ``w_i`` are the principal
-minors of ``I - P``, which are always nonnegative because each is the
-determinant of a Z-matrix with nonnegative row sums.  When the weights do
-not all vanish, ``pi = w / sum(w)`` is the unique stationary vector; when
-they all vanish the chain has several closed classes and the full solution
-set is reported instead of an error.
+minors of ``I - P``: by the Markov chain tree theorem they are positive
+exactly on the closed class when there is one, and all vanish when there
+are several.  So the class structure decides first.  With one closed class
+``pi = w / sum(w)`` is the unique stationary vector; with several, the full
+solution set is reported instead of an error.
+
+All weights come from one O(n^3) state-reduction pass (GTH): the product of
+its pivots is ``w_r`` for a root ``r`` and back-substitution gives every
+``w_i = w_r * x_i``.  Float ``pi`` is normalized from ``x``, so it keeps
+entrywise relative accuracy where the weights underflow.
 
 The closed-form functions for 2..5 states evaluate the same weights from
 explicit formulas in the banded parameterization (see
@@ -25,9 +30,7 @@ from .matrix_core import (
     FLOAT_SIGN_SLACK,
     StochasticMatrix,
     clear_denominators,
-    int_determinant,
     determinant,
-    principal_minor,
 )
 from .reducibility import (
     DEFAULT_EDGE_THRESHOLD,
@@ -48,7 +51,9 @@ class EquilibriumResult:
     * degenerate: ``pi`` is ``None`` and ``decomposition`` carries the
       closed-class breakdown with one vertex equilibrium per closed class.
 
-    ``weights`` always holds the unnormalized minor weights.
+    ``weights`` always holds the unnormalized minor weights.  In float mode
+    they may underflow to zero on large chains; ``pi`` does not depend on
+    them.
     """
 
     weights: np.ndarray
@@ -64,58 +69,93 @@ def _as_stochastic(p, mode=None):
     return StochasticMatrix.coerce(p, mode)
 
 
+def _state_reduction(q, report):
+    """Principal minors of the Laplacian of a rate matrix, by one GTH pass.
+
+    ``q`` holds nonnegative rates, Python ints in an object array (exact)
+    or float64; its diagonal is never read.  Its Laplacian is ``I - P`` for
+    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  ``report`` is
+    the class decomposition of ``q``'s digraph.  Returns ``(minors, x)``,
+    ``x`` proportional to the minors, or zero minors and ``x = None`` when
+    there are several closed classes.  Every state but a root ``r`` of the
+    closed class is eliminated; a pivot is the sum of its state's remaining
+    rates, so nothing is subtracted, and back-substitution gives ``x``.
+    Exact mode is fraction-free: each update divides exactly by the
+    previous pivot, the last pivot is the minor at ``r`` and ``x`` is the
+    integer minors.  Float ``x`` has ``x_r = 1`` and the minors are the
+    pivot product times ``x``, which may underflow where ``x`` does not.
+    """
+    n = q.shape[0]
+    exact = q.dtype == object
+    if report.n_closed > 1:
+        return np.zeros(n, dtype=q.dtype), None
+    root = report.closed_classes[0][0]
+    order = [i for i in range(n) if i != root] + [root]
+    q = q[np.ix_(order, order)]
+    pivots = []
+    prev = 1
+    for k in range(n - 1):
+        pivot = q[k, k + 1:].sum()
+        pivots.append(pivot)
+        col, row = q[k + 1:, k], q[k, k + 1:]
+        if exact:
+            q[k + 1:, k + 1:] = (q[k + 1:, k + 1:] * pivot
+                                 + np.outer(col, row)) // prev
+            prev = pivot
+        else:
+            q[k + 1:, k + 1:] += np.outer(col, row / pivot)
+    x = np.empty(n, dtype=q.dtype)
+    x[n - 1] = prev if exact else 1.0
+    for k in range(n - 2, -1, -1):
+        s = q[k + 1:, k] @ x[k + 1:]
+        x[k] = s // pivots[k] if exact else s / pivots[k]
+    out = np.empty_like(x)
+    out[order] = x
+    return (out if exact else np.prod(pivots) * out), out
+
+
+def _weights(sm, edge_threshold):
+    """``(weights, pi)`` of a chain, ``pi`` being ``None`` when degenerate.
+
+    Exact rates are ``P``'s rows scaled to integers by ``f_i``, which
+    scales minor ``i`` by ``prod(f) / f_i``.
+    """
+    report = communicating_classes(sm, edge_threshold=edge_threshold)
+    if sm.mode == FLOAT:
+        w, x = _state_reduction(sm.p, report)
+        return w, None if x is None else x / x.sum()
+    rows, factors = clear_denominators(sm.p)
+    minors, x = _state_reduction(np.array(rows, dtype=object), report)
+    scaled = [m * f for m, f in zip(minors, factors)]
+    prod_f = math.prod(factors)
+    w = np.array([Fraction(s, prod_f) for s in scaled], dtype=object)
+    if x is None:
+        return w, None
+    total = sum(scaled)
+    return w, np.array([Fraction(s, total) for s in scaled], dtype=object)
+
+
 def minor_weights(p):
     """The weight vector ``w_i = principal_minor(I - P, i)``.
 
-    The exact path clears denominators of ``I - P`` once and takes integer
-    minors, dividing the row factors back out per weight; this is
-    equivalent to ``n`` independent rational minors but much cheaper.
-    Float weights are clamped to zero within ``1e-12`` (the true values are
-    nonnegative).
+    All ``n`` weights come from one state-reduction pass.  Exact weights
+    are bit-exact.  Float weights may underflow to zero on large chains;
+    they are diagnostics, and :func:`stationary` does not derive ``pi``
+    from them.
     """
-    sm = _as_stochastic(p)
-    a = sm.i_minus_p()
-    n = sm.n
-    if sm.mode == EXACT:
-        if n == 1:
-            return np.array([Fraction(1)], dtype=object)
-        rows, factors = clear_denominators(a)
-        prod_all = math.prod(factors)
-        w = []
-        for i in range(n):
-            sub = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != i]
-            w.append(Fraction(int_determinant(sub) * factors[i], prod_all))
-        return np.array(w, dtype=object)
-    w = np.array([principal_minor(a, i) for i in range(n)])
-    w[(w < 0) & (w > -FLOAT_SIGN_SLACK)] = 0.0
-    return np.clip(w, 0.0, None)
+    return _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)[0]
 
 
-def _degenerate_weight_threshold(sm):
-    a = sm.i_minus_p()
-    return sm.n * 1e-12 * (1.0 + float(np.abs(a).max())) ** (sm.n - 1)
-
-
-def _result_from_weights(w, sm, edge_threshold):
+def _closed_form_result(w, sm):
     total = w.sum()
     if sm.mode == EXACT:
-        degenerate = total == 0
+        unique = total != 0
     else:
-        # near-vanishing weight sums are decided structurally: the class
-        # decomposition is tolerance-free and outranks the numerics
-        if total <= _degenerate_weight_threshold(sm):
-            report = communicating_classes(sm, edge_threshold=edge_threshold)
-            degenerate = report.n_closed >= 2
-        else:
-            degenerate = False
-    if degenerate:
-        report = equilibrium_polytope(sm, edge_threshold=edge_threshold)
-        return EquilibriumResult(weights=w, decomposition=report)
-    if total == 0:
-        raise ValueError(
-            "minor weights vanished numerically for a structurally "
-            "irreducible chain; use exact mode or adjust edge_threshold")
-    return EquilibriumResult(weights=w, pi=w / total)
+        unique = communicating_classes(sm).n_closed == 1
+    if unique:
+        return EquilibriumResult(weights=w, pi=w / total)
+    return EquilibriumResult(weights=w,
+                             decomposition=equilibrium_polytope(sm))
 
 
 def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
@@ -126,35 +166,34 @@ def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     p : StochasticMatrix or array-like
         Row-stochastic matrix; lists, ndarrays and Fractions are accepted.
     edge_threshold : float, optional
-        Structural-zero cutoff used by the degeneracy analysis in float
-        mode.
+        Structural-zero cutoff used by the class analysis in float mode.
 
     Returns
     -------
     EquilibriumResult
-        Unique vector when the minor weights have a positive sum, otherwise
-        a degeneracy report with the closed classes and all vertex
+        Unique vector when the chain has one closed class, otherwise a
+        degeneracy report with the closed classes and all vertex
         equilibria.  Degeneracy is a result, not an error.
     """
     sm = _as_stochastic(p)
-    w = minor_weights(sm)
-    return _result_from_weights(w, sm, edge_threshold)
+    w, pi = _weights(sm, edge_threshold)
+    if pi is None:
+        report = equilibrium_polytope(sm, edge_threshold=edge_threshold)
+        return EquilibriumResult(weights=w, decomposition=report)
+    return EquilibriumResult(weights=w, pi=pi)
 
 
 def relative_probability(p, i, j):
-    """The stationary ratio ``pi_i / pi_j`` as a ratio of two minors.
+    """The stationary ratio ``pi_i / pi_j``, equal to ``w_i / w_j``.
 
-    Only the two principal minors are evaluated, no normalization over the
-    full state space.  Raises ``ZeroDivisionError`` when state ``j`` has a
-    vanishing weight (zero stationary mass or a degenerate chain).
+    Raises ``ZeroDivisionError`` when state ``j`` has a vanishing weight
+    (zero stationary mass or a degenerate chain).
     """
-    sm = _as_stochastic(p)
-    a = sm.i_minus_p()
-    w_j = principal_minor(a, j)
-    if w_j == 0:
+    _, pi = _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)
+    if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
             f"state {j} has zero minor weight; ratio undefined")
-    return principal_minor(a, i) / w_j
+    return pi[i] / pi[j]
 
 
 def verify_equilibrium(pi, p):
@@ -247,8 +286,7 @@ def closed_form_2(p, q):
     (p, q), mode = _coerce_params([p, q])
     _check_bands([[p], [q]], mode)
     w = _weight_array([q, p], mode)
-    return _result_from_weights(
-        w, matrix_from_bands([[p], [q]], mode), DEFAULT_EDGE_THRESHOLD)
+    return _closed_form_result(w, matrix_from_bands([[p], [q]], mode))
 
 
 def closed_form_3(p1, p2, q1, q2, r1, r2):
@@ -271,8 +309,7 @@ def closed_form_3(p1, p2, q1, q2, r1, r2):
     w2 = r1 * p1 + r2 * p1 + r2 * p2
     w3 = p1 * q1 + p2 * q1 + p2 * q2
     w = _weight_array([w1, w2, w3], mode)
-    return _result_from_weights(
-        w, matrix_from_bands(bands, mode), DEFAULT_EDGE_THRESHOLD)
+    return _closed_form_result(w, matrix_from_bands(bands, mode))
 
 
 # the 16 monomials of the first four-state weight, as (a, b, c) exponents
@@ -305,8 +342,7 @@ def closed_form_4(p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3):
         w.append(sum(a[x - 1] * b[y - 1] * c[z - 1]
                      for x, y, z in _W4_FIRST_WEIGHT_TERMS))
     w = _weight_array(w, mode)
-    return _result_from_weights(
-        w, matrix_from_bands(bands, mode), DEFAULT_EDGE_THRESHOLD)
+    return _closed_form_result(w, matrix_from_bands(bands, mode))
 
 
 def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
@@ -358,13 +394,12 @@ def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
          [-s2, -s3, -s4, ss]],
     ]
     w = _weight_array([determinant(m) for m in minors], mode)
-    return _result_from_weights(
-        w, matrix_from_bands(bands, mode), DEFAULT_EDGE_THRESHOLD)
+    return _closed_form_result(w, matrix_from_bands(bands, mode))
 
 
 def _weight_array(values, mode):
     if mode == EXACT:
         return np.array([Fraction(v) for v in values], dtype=object)
-    w = np.array([float(v) for v in values])
-    w[(w < 0) & (w > -FLOAT_SIGN_SLACK)] = 0.0
-    return np.clip(w, 0.0, None)
+    # float closed forms may take parameters down to -1e-12 and, for five
+    # states, rounded determinants; the true weights are nonnegative
+    return np.clip(np.array([float(v) for v in values]), 0.0, None)

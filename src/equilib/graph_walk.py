@@ -6,8 +6,10 @@ taken from the integer matrix ``D - A`` instead of the rational ``I - P``:
 
     pi_i  proportional to  d_i * principal_minor(D - A, i)
 
-Every numerator and the common denominator are integers; the only division
-happens once, at the very end.
+All ``n`` minors come from one fraction-free state-reduction pass over the
+adjacency counts, O(n^3) integer operations, the same kernel as
+:func:`~equilib.equilibrium.minor_weights`.  Every numerator and the common
+denominator are integers; the only division happens once, at the very end.
 """
 
 import math
@@ -16,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import int_determinant, StochasticMatrix
-from .equilibrium import EquilibriumResult
-from .reducibility import equilibrium_polytope
+from .matrix_core import StochasticMatrix
+from .equilibrium import EquilibriumResult, _state_reduction
+from .reducibility import _decompose, equilibrium_polytope
 
 
 class ZeroOutDegreeError(ValueError):
@@ -116,8 +118,9 @@ class GraphEquilibrium:
 def graph_stationary(g):
     """Stationary distribution of the random walk on ``g``.
 
-    All minors are evaluated over the integers from ``D - A``; the single
-    rational division happens only when normalizing at the end.
+    All minors are evaluated over the integers from ``D - A`` in one
+    state-reduction pass; the single rational division happens only when
+    normalizing at the end.
 
     Returns
     -------
@@ -127,20 +130,15 @@ def graph_stationary(g):
         the exact minor weights of the walk matrix.
     """
     degrees = degree_vector(g)
-    n = g.n
-    d_minus_a = [[(int(degrees[i]) if i == j else 0) - g.adjacency[i][j]
-                  for j in range(n)] for i in range(n)]
-    minors = []
-    for i in range(n):
-        sub = [row[:i] + row[i + 1:]
-               for k, row in enumerate(d_minus_a) if k != i]
-        minors.append(int_determinant(sub))
+    report = _decompose([[j for j, m in enumerate(row) if m]
+                         for row in g.adjacency])
+    minors, x = _state_reduction(np.array(g.adjacency, dtype=object), report)
     numerators = [int(d) * m for d, m in zip(degrees, minors)]
     total = sum(numerators)
     prod_d = math.prod(int(d) for d in degrees)
     weights = np.array([Fraction(num, prod_d) for num in numerators],
                        dtype=object)
-    if total > 0:
+    if x is not None:
         pi = np.array([Fraction(num, total) for num in numerators],
                       dtype=object)
         result = EquilibriumResult(weights=weights, pi=pi)

@@ -10,7 +10,9 @@ Matrices live in one of two scalar modes:
   elimination with partial pivoting; a pivot smaller than ``1e-14`` times the
   matrix row norm is treated as a structural zero.
 
-A computation never mixes the two modes.
+A computation never mixes the two modes.  Non-finite entries are rejected.
+The stationary weights do not use these determinants: one O(n^3) state
+reduction in :mod:`equilib.equilibrium` yields all ``n`` principal minors.
 """
 
 import math
@@ -23,15 +25,11 @@ FLOAT = "float"
 
 # pivot below this multiple of the matrix row norm counts as structurally zero
 FLOAT_PIVOT_RTOL = 1e-14
-# slack used by float-mode sign tests (Z-matrix check, weight clamping)
+# slack used by float-mode sign tests (Z-matrix check, band parameters)
 FLOAT_SIGN_SLACK = 1e-12
 # StochasticMatrix validation tolerances (float mode)
 ENTRY_ATOL = 1e-12
 ROW_SUM_ATOL = 1e-9
-
-# above this size the adjugate switches from n^2 minors to a solve when the
-# matrix is nonsingular; the minor path stays available for det = 0
-_ADJUGATE_MINOR_LIMIT = 12
 
 
 def _to_fraction(x):
@@ -79,7 +77,16 @@ def _square(data, mode=None):
             isinstance(x, (float, np.floating)) for x in a.flat
         ):
             mode = FLOAT
-    return as_float_array(a) if mode == FLOAT else as_exact_array(a)
+    if mode == FLOAT or a.dtype.kind == "f":
+        f = as_float_array(a)
+        bad = np.argwhere(~np.isfinite(f))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"entry at row {i + 1}, column {j + 1} is not finite")
+        if mode == FLOAT:
+            return f
+    return as_exact_array(a)
 
 
 def identity_matrix(n, mode=EXACT):
@@ -220,64 +227,21 @@ def principal_minor(m, i):
     return minor(m, i, i)
 
 
-def _exact_inverse(a):
-    """Gauss-Jordan inverse over Fractions. Raises on a singular matrix."""
-    n = a.shape[0]
-    m = [[_to_fraction(a[i, j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        scale = m[k][k]
-        m[k] = [x / scale for x in m[k]]
-        inv[k] = [x / scale for x in inv[k]]
-        for r in range(n):
-            if r == k or m[r][k] == 0:
-                continue
-            f = m[r][k]
-            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[k])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inv[i][j]
-    return out
-
-
 def adjugate(m):
     """Adjugate (classical adjoint): transpose of the cofactor matrix.
 
-    Satisfies ``adjugate(m) @ m == m @ adjugate(m) == det(m) * I``.  Small
-    matrices use the n^2 minor definition directly; larger nonsingular ones
-    are solved from the factorization, and the minor path is kept for the
-    singular case (where the adjugate has rank at most 1).
+    Satisfies ``adjugate(m) @ m == m @ adjugate(m) == det(m) * I``.  Built
+    from the n^2 minors of the definition, which holds for singular
+    matrices too (their adjugate has rank at most 1).
     """
     a = _square(m)
     n = a.shape[0]
-    exact = matrix_mode(a) == EXACT
-    if n == 0:
-        return a.copy()
-    if n == 1:
-        return (np.array([[Fraction(1)]], dtype=object) if exact
-                else np.array([[1.0]]))
-    d = determinant(a)
-    if n <= _ADJUGATE_MINOR_LIMIT or d == 0:
-        adj = np.empty((n, n), dtype=object if exact else float)
-        for i in range(n):
-            for j in range(n):
-                cof = minor(a, i, j)
-                adj[j, i] = cof if (i + j) % 2 == 0 else -cof
-        return adj
-    if exact:
-        inv = _exact_inverse(a)
-        out = np.empty((n, n), dtype=object)
-        for idx, x in np.ndenumerate(inv):
-            out[idx] = d * x
-        return out
-    return np.linalg.solve(a, d * np.eye(n))
+    adj = np.empty((n, n), dtype=a.dtype)
+    for i in range(n):
+        for j in range(n):
+            cof = minor(a, i, j)
+            adj[j, i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
 
 
 def is_z_matrix(m):
@@ -286,30 +250,18 @@ def is_z_matrix(m):
     Float mode allows ``1e-12`` of slack on both sign tests.
     """
     a = _square(m)
-    n = a.shape[0]
-    if matrix_mode(a) == EXACT:
-        for i in range(n):
-            for j in range(n):
-                if i == j and a[i, j] < 0:
-                    return False
-                if i != j and a[i, j] > 0:
-                    return False
-        return True
-    for i in range(n):
-        for j in range(n):
-            if i == j and a[i, j] < -FLOAT_SIGN_SLACK:
-                return False
-            if i != j and a[i, j] > FLOAT_SIGN_SLACK:
-                return False
-    return True
+    slack = 0 if matrix_mode(a) == EXACT else FLOAT_SIGN_SLACK
+    off = ~np.eye(a.shape[0], dtype=bool)
+    return bool((np.diag(a) >= -slack).all() and (a[off] <= slack).all())
 
 
 class StochasticMatrix:
     """A dense row-stochastic matrix with a fixed scalar mode.
 
-    Exact mode demands nonnegative entries and unit row sums exactly.
-    Float mode clamps entries in ``[-1e-12, 0)`` to zero and renormalizes
-    rows whose sums are within ``1e-9`` of 1; anything worse is rejected.
+    Entries must be finite.  Exact mode demands nonnegative entries and
+    unit row sums exactly.  Float mode clamps entries in ``[-1e-12, 0)``
+    to zero and renormalizes rows whose sums are within ``1e-9`` of 1;
+    anything worse is rejected.
 
     Attributes
     ----------

@@ -53,12 +53,8 @@ class DecompositionReport:
 
 def _structural_adjacency(sm, edge_threshold):
     """Neighbor lists of the transition digraph (self-loops included)."""
-    p = sm.p
-    n = sm.n
-    if sm.mode == EXACT:
-        return [[j for j in range(n) if p[i, j] != 0] for i in range(n)]
-    return [[j for j in range(n) if p[i, j] > edge_threshold]
-            for i in range(n)]
+    edges = sm.p != 0 if sm.mode == EXACT else sm.p > edge_threshold
+    return [np.flatnonzero(row).tolist() for row in edges]
 
 
 def _strongly_connected_components(adj):
@@ -119,7 +115,11 @@ def communicating_classes(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     unfilled.  A class is flagged closed when no structural edge leaves it.
     """
     sm = StochasticMatrix.coerce(p)
-    adj = _structural_adjacency(sm, edge_threshold)
+    return _decompose(_structural_adjacency(sm, edge_threshold))
+
+
+def _decompose(adj):
+    """The class decomposition of a digraph given as neighbor lists."""
     classes = _strongly_connected_components(adj)
     closed_flags = []
     for cls in classes:

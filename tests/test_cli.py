@@ -280,3 +280,56 @@ def test_edge_threshold_flag(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "classes", "--edge-threshold", "1e-16", path)
     assert code == 0
+
+
+def test_weights_exit_code_comes_from_structure(tmp_path, capsys):
+    # every float weight of this valid lazy cycle underflows to zero
+    n = 110
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = "0.999"
+        rows[i][(i + 1) % n] = "0.001"
+    path = write(tmp_path, "lazy.txt", "".join(" ".join(r) + "\n"
+                                               for r in rows))
+    code, out, _ = run(capsys, "weights", path)
+    assert code == 0
+    assert "total = 0" in out
+    path = write(tmp_path, "m.txt", ABSORBING_PAIR)
+    code, out, _ = run(capsys, "weights", path)
+    assert code == 2
+    assert "total = 0" in out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_entry_is_a_located_error(tmp_path, capsys, literal):
+    doc = ('{"kind": "matrix", "n": 2, "rows": [[0.5, 0.5], [%s, 1.0]]}'
+           % literal)
+    path = write(tmp_path, "m.json", doc)
+    code, out, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert out == ""
+    assert "error: entry at row 2, column 1 is not finite" in err
+
+
+def test_overflowing_decimal_is_a_located_error(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "0.5 0.5\n1e999 0\n")
+    code, out, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert "error: line 2, entry 1" in err
+
+
+def test_verify_rejects_json_booleans(tmp_path, capsys):
+    matrix = write(tmp_path, "m.txt", TWO_STATE)
+    pi_file = write(tmp_path, "pi.json", '{"pi": [true, false]}')
+    code, out, err = run(capsys, "verify", pi_file, matrix)
+    assert code == 1
+    assert out == ""
+    assert "error: malformed vector entry True" in err
+
+
+def test_verify_rejects_non_finite_json_entries(tmp_path, capsys):
+    matrix = write(tmp_path, "m.txt", TWO_STATE)
+    pi_file = write(tmp_path, "pi.json", '{"pi": [NaN, 0.5]}')
+    code, _, err = run(capsys, "verify", pi_file, matrix)
+    assert code == 1
+    assert "error: vector entry 1 is not finite" in err

@@ -184,10 +184,10 @@ def test_adjugate_identity_property(n, data):
     assert np.array_equal(adjugate(m) @ m, determinant(m) * identity_matrix(n))
 
 
-def test_adjugate_large_exact_uses_solve_path():
+def test_adjugate_large_exact_nonsingular():
     rng = make_rng(400)
     n = 13
-    # diagonally dominant, hence nonsingular: exercises the solve branch
+    # diagonally dominant, hence nonsingular
     rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         rows[i][i] = F(40 + i)
@@ -299,3 +299,13 @@ def test_minor_full_matrix_by_index():
     m = [[F(1), F(2)], [F(3), F(4)]]
     assert minor(m, 0, 1) == 3
     assert minor(m, 1, 0) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_stochastic_rejects_non_finite_entry(bad):
+    with pytest.raises(ValueError,
+                       match="entry at row 2, column 1 is not finite"):
+        StochasticMatrix([[0.5, 0.5], [bad, 1.0]])
+    with pytest.raises(ValueError,
+                       match="entry at row 2, column 1 is not finite"):
+        StochasticMatrix(np.array([[0.5, 0.5], [bad, 1.0]]), mode="exact")
