@@ -28,6 +28,7 @@ import numpy as np
 
 from .matrix_core import EXACT, FLOAT, StochasticMatrix
 from .equilibrium import (
+    _weights,
     relative_probability,
     stationary,
     verify_equilibrium,
@@ -109,30 +110,33 @@ def _matrix_entry(token, mode, where):
         raise ParseError(f"{where}: {token} overflows a float") from None
 
 
-def _parse_matrix_text(text, mode):
-    rows_tokens = []
-    kinds = set()
+def _token_rows(text, what, valid, malformed, width_note=""):
+    """``(lineno, tokens)`` rows of a square table, each token checked."""
+    rows = []
     for lineno, line in _content_lines(text):
-        tokens = line.replace(",", " ").split()
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            kind = _classify(tok)
-            if kind is None:
+        row = line.replace(",", " ").split()
+        for col, tok in enumerate(row, start=1):
+            if not valid(tok):
                 raise ParseError(
-                    f"line {lineno}, entry {col}: malformed literal {tok!r}")
-            kinds.add(kind)
-            row.append(tok)
-        rows_tokens.append((lineno, row))
-    if not rows_tokens:
-        raise ParseError("no matrix rows found in input")
-    n = len(rows_tokens)
-    for lineno, row in rows_tokens:
+                    f"line {lineno}, entry {col}: {malformed} {tok!r}")
+        rows.append((lineno, row))
+    if not rows:
+        raise ParseError(f"no {what} rows found in input")
+    n = len(rows)
+    for lineno, row in rows:
         if len(row) != n:
-            raise ParseError(
-                f"line {lineno}: expected {n} entries for a square matrix, "
-                f"got {len(row)}")
+            raise ParseError(f"line {lineno}: expected {n} entries"
+                             f"{width_note}, got {len(row)}")
+    return rows
+
+
+def _parse_matrix_text(text, mode):
+    rows_tokens = _token_rows(text, "matrix", _classify, "malformed literal",
+                              " for a square matrix")
     if mode is None:
-        mode = FLOAT if "decimal" in kinds else EXACT
+        decimal = any(_classify(tok) == "decimal"
+                      for _, row in rows_tokens for tok in row)
+        mode = FLOAT if decimal else EXACT
     rows = [[_matrix_entry(tok, mode, f"line {lineno}, entry {col}")
              for col, tok in enumerate(row, start=1)]
             for lineno, row in rows_tokens]
@@ -177,26 +181,10 @@ def _parse_graph_text(text, mode):
 
 
 def _parse_adjacency_text(text):
-    rows = []
-    for lineno, line in _content_lines(text):
-        tokens = line.replace(",", " ").split()
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            if not _INT_RE.match(tok):
-                raise ParseError(
-                    f"line {lineno}, entry {col}: adjacency entries must "
-                    f"be integers, got {tok!r}")
-            row.append(int(tok))
-        rows.append((lineno, row))
-    if not rows:
-        raise ParseError("no adjacency rows found in input")
-    n = len(rows)
-    for lineno, row in rows:
-        if len(row) != n:
-            raise ParseError(
-                f"line {lineno}: expected {n} entries, got {len(row)}")
+    rows = _token_rows(text, "adjacency", _INT_RE.match,
+                       "adjacency entries must be integers, got")
     try:
-        graph = Graph([row for _, row in rows])
+        graph = Graph([[int(tok) for tok in row] for _, row in rows])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return graph
@@ -402,16 +390,14 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    res = stationary(_working_matrix(doc, args),
-                     edge_threshold=args.edge_threshold)
-    w = res.weights
+    w, pi, _ = _weights(_working_matrix(doc, args), args.edge_threshold)
     total = w.sum()
     payload = {"kind": "weights", "mode": doc.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
     lines = [f"w = {_fmt_vector(w)}", f"total = {_fmt_scalar(total)}"]
     _emit(args, lines, payload)
     # float weights may underflow to zero: structure decides the exit code
-    return 0 if res.unique else 2
+    return 0 if pi is not None else 2
 
 
 def _cmd_classes(doc, args):
@@ -495,62 +481,49 @@ def _cmd_compare(doc, args):
     sm = _working_matrix(doc, args)
     rows = []
     payload_methods = {}
-    exit_code = 0
+    pis = {}
+
+    def solved(name, seconds, pi, against, **extra):
+        resid = verify_equilibrium(pi, against)
+        rows.append((name, _fmt_vector(pi), _fmt_scalar(resid),
+                     f"{seconds:.4f}"))
+        payload_methods[name] = {
+            "pi": _json_vector(pi), "residual": _json_scalar(resid),
+            "seconds": seconds, **extra}
+        pis[name] = np.array([float(x) for x in pi])
+
+    def failed(name, text, status, **fields):
+        rows.append((name, text, "-", f"{fields['seconds']:.4f}"))
+        payload_methods[name] = {"status": status, **fields}
 
     t0 = time.perf_counter()
     res = stationary(sm, edge_threshold=args.edge_threshold)
-    t_minor = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
     if res.unique:
-        resid = verify_equilibrium(res.pi, sm)
-        rows.append(("minor_weights", _fmt_vector(res.pi),
-                     _fmt_scalar(resid), f"{t_minor:.4f}"))
-        payload_methods["minor_weights"] = {
-            "pi": _json_vector(res.pi), "residual": _json_scalar(resid),
-            "seconds": t_minor}
-        pis = {"minor_weights": np.array([float(x) for x in res.pi])}
+        solved("minor_weights", seconds, res.pi, sm)
     else:
-        rows.append(("minor_weights", "degenerate", "-", f"{t_minor:.4f}"))
-        payload_methods["minor_weights"] = {
-            "status": "degenerate", "seconds": t_minor}
-        pis = {}
-        exit_code = 2
+        failed("minor_weights", "degenerate", "degenerate", seconds=seconds)
 
     t0 = time.perf_counter()
     try:
         pi_solve = linear_solve_stationary(sm)
-        t_solve = time.perf_counter() - t0
-        resid = verify_equilibrium(pi_solve, sm)
-        rows.append(("linear_solve", _fmt_vector(pi_solve),
-                     _fmt_scalar(resid), f"{t_solve:.4f}"))
-        payload_methods["linear_solve"] = {
-            "pi": _json_vector(pi_solve), "residual": _json_scalar(resid),
-            "seconds": t_solve}
-        pis["linear_solve"] = np.array([float(x) for x in pi_solve])
     except SingularSystemError:
-        t_solve = time.perf_counter() - t0
-        rows.append(("linear_solve", "singular system", "-", f"{t_solve:.4f}"))
-        payload_methods["linear_solve"] = {
-            "status": "singular", "seconds": t_solve}
+        failed("linear_solve", "singular system", "singular",
+               seconds=time.perf_counter() - t0)
+    else:
+        solved("linear_solve", time.perf_counter() - t0, pi_solve, sm)
 
     t0 = time.perf_counter()
     pm = power_method(sm, tol=args.tol)
-    t_power = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
     if pm.converged:
-        resid = verify_equilibrium(pm.pi_estimate, sm.to_float())
-        rows.append(("power_method", _fmt_vector(pm.pi_estimate),
-                     _fmt_scalar(resid), f"{t_power:.4f}"))
-        payload_methods["power_method"] = {
-            "pi": _json_vector(pm.pi_estimate),
-            "residual": _json_scalar(resid), "seconds": t_power,
-            "squarings": pm.iterations}
-        pis["power_method"] = pm.pi_estimate
+        solved("power_method", seconds, pm.pi_estimate, sm.to_float(),
+               squarings=pm.iterations)
     else:
-        rows.append(("power_method",
-                     f"not converged (spread {pm.final_spread:.3g})",
-                     "-", f"{t_power:.4f}"))
-        payload_methods["power_method"] = {
-            "status": "not converged", "final_spread": pm.final_spread,
-            "seconds": t_power, "squarings": pm.iterations}
+        failed("power_method",
+               f"not converged (spread {pm.final_spread:.3g})",
+               "not converged", final_spread=pm.final_spread,
+               seconds=seconds, squarings=pm.iterations)
 
     lines = [f"{'method':<14} {'pi':<40} {'residual':<12} seconds"]
     for name, vec, resid, secs in rows:
@@ -565,7 +538,7 @@ def _cmd_compare(doc, args):
         lines.append(f"max pairwise L-inf difference: {diff:.3g}")
         payload["max_pairwise_linf"] = diff
     _emit(args, lines, payload)
-    return exit_code
+    return 0 if res.unique else 2
 
 
 def _working_matrix(doc, args):

@@ -35,8 +35,8 @@ from .matrix_core import (
 from .reducibility import (
     DEFAULT_EDGE_THRESHOLD,
     DecompositionReport,
+    _with_vertices,
     communicating_classes,
-    equilibrium_polytope,
 )
 
 
@@ -77,24 +77,38 @@ def _state_reduction(q, report):
     a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  ``report`` is
     the class decomposition of ``q``'s digraph.  Returns ``(minors, x)``,
     ``x`` proportional to the minors, or zero minors and ``x = None`` when
-    there are several closed classes.  Every state but a root ``r`` of the
-    closed class is eliminated; a pivot is the sum of its state's remaining
-    rates, so nothing is subtracted, and back-substitution gives ``x``.
-    Exact mode is fraction-free: each update divides exactly by the
-    previous pivot, the last pivot is the minor at ``r`` and ``x`` is the
-    integer minors.  Float ``x`` has ``x_r = 1`` and the minors are the
-    pivot product times ``x``, which may underflow where ``x`` does not.
+    there are several closed classes.  The transitory states are eliminated
+    first, then all of the closed class but a root ``r``; a pivot is the sum
+    of its state's remaining rates, so nothing is subtracted.  Exact mode is
+    fraction-free: each update divides exactly by the previous pivot, the
+    last pivot is the minor at ``r`` and ``x`` is the integer minors.  Float
+    mode next eliminates a state whose remaining rate is at least half the
+    largest, keeping the heavy states to the end so that no pivot
+    underflows on a drifting chain; ``x`` is scaled by powers of two to
+    ``max(x) <= 1``, and the minors are the pivot product times ``x``,
+    which may underflow where ``x`` does not.
     """
     n = q.shape[0]
     exact = q.dtype == object
     if report.n_closed > 1:
         return np.zeros(n, dtype=q.dtype), None
-    root = report.closed_classes[0][0]
-    order = [i for i in range(n) if i != root] + [root]
+    n_transitory = len(report.transitory_states)
+    order = report.transitory_states + report.closed_classes[0]
     q = q[np.ix_(order, order)]
+    if not exact:
+        np.fill_diagonal(q, 0.0)
+        rates = q.sum(axis=1)
     pivots = []
     prev = 1
     for k in range(n - 1):
+        if not exact:
+            end = n_transitory if k < n_transitory else n
+            c = k + int(np.argmax(rates[k:end]))
+            if rates[k] < 0.5 * rates[c]:
+                q[k], q[c] = q[c].copy(), q[k].copy()
+                q[:, k], q[:, c] = q[:, c].copy(), q[:, k].copy()
+                rates[k], rates[c] = rates[c], rates[k]
+                order[k], order[c] = order[c], order[k]
         pivot = q[k, k + 1:].sum()
         pivots.append(pivot)
         col, row = q[k + 1:, k], q[k, k + 1:]
@@ -103,19 +117,35 @@ def _state_reduction(q, report):
                                  + np.outer(col, row)) // prev
             prev = pivot
         else:
-            q[k + 1:, k + 1:] += np.outer(col, row / pivot)
+            if not pivot >= np.finfo(float).tiny:
+                raise ValueError(
+                    "transition rates underflow double precision; "
+                    "solve this chain in exact mode")
+            row = row / pivot
+            q[k + 1:, k + 1:] += np.outer(col, row)
+            rates[k + 1:] -= col * row
     x = np.empty(n, dtype=q.dtype)
     x[n - 1] = prev if exact else 1.0
+    shift = 0
     for k in range(n - 2, -1, -1):
         s = q[k + 1:, k] @ x[k + 1:]
         x[k] = s // pivots[k] if exact else s / pivots[k]
+        if not exact and x[k] > 1.0:
+            e = math.frexp(x[k])[1]
+            x[k:] = np.ldexp(x[k:], -e)
+            shift += e
     out = np.empty_like(x)
     out[order] = x
-    return (out if exact else np.prod(pivots) * out), out
+    if exact:
+        return out, out
+    # the pivot product, its binary exponents summed apart from the mantissas
+    m, e = np.frexp(pivots)
+    return np.ldexp(np.prod(m) * out, int(e.sum()) + shift), out
 
 
 def _weights(sm, edge_threshold):
-    """``(weights, pi)`` of a chain, ``pi`` being ``None`` when degenerate.
+    """``(weights, pi, report)`` of a chain: ``pi`` is ``None`` when the
+    class decomposition ``report`` has several closed classes.
 
     Exact rates are ``P``'s rows scaled to integers by ``f_i``, which
     scales minor ``i`` by ``prod(f) / f_i``.
@@ -123,16 +153,17 @@ def _weights(sm, edge_threshold):
     report = communicating_classes(sm, edge_threshold=edge_threshold)
     if sm.mode == FLOAT:
         w, x = _state_reduction(sm.p, report)
-        return w, None if x is None else x / x.sum()
+        return w, None if x is None else x / x.sum(), report
     rows, factors = clear_denominators(sm.p)
     minors, x = _state_reduction(np.array(rows, dtype=object), report)
     scaled = [m * f for m, f in zip(minors, factors)]
     prod_f = math.prod(factors)
     w = np.array([Fraction(s, prod_f) for s in scaled], dtype=object)
     if x is None:
-        return w, None
+        return w, None, report
     total = sum(scaled)
-    return w, np.array([Fraction(s, total) for s in scaled], dtype=object)
+    pi = np.array([Fraction(s, total) for s in scaled], dtype=object)
+    return w, pi, report
 
 
 def minor_weights(p):
@@ -148,14 +179,14 @@ def minor_weights(p):
 
 def _closed_form_result(w, sm):
     total = w.sum()
-    if sm.mode == EXACT:
-        unique = total != 0
-    else:
-        unique = communicating_classes(sm).n_closed == 1
-    if unique:
+    # exact weights all vanish exactly when there are several closed classes
+    if sm.mode == EXACT and total != 0:
         return EquilibriumResult(weights=w, pi=w / total)
-    return EquilibriumResult(weights=w,
-                             decomposition=equilibrium_polytope(sm))
+    report = communicating_classes(sm)
+    if report.n_closed == 1:
+        return EquilibriumResult(weights=w, pi=w / total)
+    report = _with_vertices(sm, report, DEFAULT_EDGE_THRESHOLD)
+    return EquilibriumResult(weights=w, decomposition=report)
 
 
 def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
@@ -176,9 +207,9 @@ def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
         equilibria.  Degeneracy is a result, not an error.
     """
     sm = _as_stochastic(p)
-    w, pi = _weights(sm, edge_threshold)
+    w, pi, report = _weights(sm, edge_threshold)
     if pi is None:
-        report = equilibrium_polytope(sm, edge_threshold=edge_threshold)
+        report = _with_vertices(sm, report, edge_threshold)
         return EquilibriumResult(weights=w, decomposition=report)
     return EquilibriumResult(weights=w, pi=pi)
 
@@ -189,7 +220,7 @@ def relative_probability(p, i, j):
     Raises ``ZeroDivisionError`` when state ``j`` has a vanishing weight
     (zero stationary mass or a degenerate chain).
     """
-    _, pi = _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)
+    _, pi, _ = _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)
     if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
             f"state {j} has zero minor weight; ratio undefined")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrix_core import StochasticMatrix
 from .equilibrium import EquilibriumResult, _state_reduction
-from .reducibility import _decompose, equilibrium_polytope
+from .reducibility import DEFAULT_EDGE_THRESHOLD, _decompose, _with_vertices
 
 
 class ZeroOutDegreeError(ValueError):
@@ -143,6 +143,7 @@ def graph_stationary(g):
                       dtype=object)
         result = EquilibriumResult(weights=weights, pi=pi)
     else:
-        report = equilibrium_polytope(walk_matrix(g))
+        report = _with_vertices(walk_matrix(g), report,
+                                DEFAULT_EDGE_THRESHOLD)
         result = EquilibriumResult(weights=weights, decomposition=report)
     return GraphEquilibrium(numerators, total, result)

@@ -53,11 +53,7 @@ def as_exact_array(data):
 
 def as_float_array(data):
     """Coerce to a float64 ndarray."""
-    a = np.asarray(data)
-    if a.dtype == object:
-        return np.array([[float(x) for x in row] for row in a], dtype=float) \
-            if a.ndim == 2 else np.array([float(x) for x in a], dtype=float)
-    return a.astype(float)
+    return np.asarray(data).astype(float)
 
 
 def matrix_mode(a):
@@ -93,8 +89,7 @@ def identity_matrix(n, mode=EXACT):
     if mode == FLOAT:
         return np.eye(n)
     out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
+    np.fill_diagonal(out, Fraction(1))
     return out
 
 

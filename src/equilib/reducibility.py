@@ -138,12 +138,9 @@ def is_irreducible(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
 
 
 def _embed(vec, indices, n, mode):
-    if mode == EXACT:
-        out = np.array([Fraction(0)] * n, dtype=object)
-    else:
-        out = np.zeros(n)
-    for k, i in enumerate(indices):
-        out[i] = vec[k]
+    out = np.array([Fraction(0)] * n, dtype=object) if mode == EXACT \
+        else np.zeros(n)
+    out[indices] = vec
     return out
 
 
@@ -156,10 +153,15 @@ def equilibrium_polytope(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     the complete solution set of ``pi @ P == pi``.  A chain with a unique
     equilibrium yields a single vertex.
     """
-    from .equilibrium import stationary  # deferred; see module note below
-
     sm = StochasticMatrix.coerce(p)
     report = communicating_classes(sm, edge_threshold=edge_threshold)
+    return _with_vertices(sm, report, edge_threshold)
+
+
+def _with_vertices(sm, report, edge_threshold):
+    """``report``, the decomposition of ``sm``, with its vertex equilibria."""
+    from .equilibrium import stationary  # deferred; see module note below
+
     vertices = []
     for cls, closed in zip(report.classes, report.closed_flags):
         if not closed:

@@ -203,3 +203,79 @@ def test_eps_coupled_blocks_keep_relative_accuracy(eps):
     ref = stationary_reference(exact_rows_of(p))
     rel = max(abs(F(float(x)) - r) / r for x, r in zip(res.pi, ref))
     assert rel <= 1e-9
+
+
+def birth_death(n, up, down):
+    """Reflecting walk on 0..n-1 stepping up with ``up``, down with ``down``."""
+    p = np.zeros((n, n))
+    for i in range(n):
+        if i + 1 < n:
+            p[i, i + 1] = up
+        if i > 0:
+            p[i, i - 1] = down
+        p[i, i] = 1.0 - p[i].sum()
+    return p
+
+
+@pytest.mark.parametrize("n, up, down, relabel", [
+    (400, F(9, 10), F(1, 10), False),
+    (400, F(9, 10), F(1, 10), True),
+    (400, F(1, 10), F(9, 10), False),
+    (110, F(999, 1000), F(1, 1000), False),
+    (110, F(999, 1000), F(1, 1000), True),
+])
+def test_drifting_chain_keeps_pi_finite_and_accurate(n, up, down, relabel):
+    # pi_i is proportional to (up/down)^i by detailed balance, spanning more
+    # than the float range: the mass far from the heavy end underflows to 0
+    # and must not overflow the rest
+    r = up / down
+    total = sum(r ** i for i in range(n))
+    ref = [r ** i / total for i in range(n)]
+    p = birth_death(n, float(up), float(down))
+    perm = list(range(n))
+    if relabel:
+        random.Random(n).shuffle(perm)
+        p = p[np.ix_(perm, perm)]
+        ref = [ref[i] for i in perm]
+    res = stationary(p)
+    assert res.unique
+    assert np.all(np.isfinite(res.pi)) and np.all(np.isfinite(res.weights))
+    assert abs(res.pi.sum() - 1.0) <= 1e-12
+    for x, exact in zip(res.pi, ref):
+        if exact > F(1, 10 ** 290):
+            assert abs(F(float(x)) - exact) / exact <= 1e-9
+        else:
+            assert 0.0 <= x <= 1e-280
+
+
+def test_float_rates_below_double_precision_raise():
+    # two heavy ends behind a drift barrier: the rate of crossing it, about
+    # 9^-340, is not a float, so neither is the ratio of the two masses
+    m = 340
+    p = np.zeros((2 * m + 1, 2 * m + 1))
+    for i in range(2 * m + 1):
+        up = 0.1 if i < m else 0.9 if i > m else 0.5
+        if i < 2 * m:
+            p[i, i + 1] = up
+        if i > 0:
+            p[i, i - 1] = 1.0 - up
+        p[i, i] = 1.0 - p[i].sum()
+    with pytest.raises(ValueError, match="exact mode"):
+        stationary(p)
+
+
+def test_degenerate_chain_decomposes_the_full_chain_once(monkeypatch):
+    import equilib.reducibility as reducibility
+
+    sizes = []
+    decompose = reducibility._decompose
+
+    def counting(adj):
+        sizes.append(len(adj))
+        return decompose(adj)
+
+    monkeypatch.setattr(reducibility, "_decompose", counting)
+    res = stationary([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 4), F(1, 4)]])
+    assert not res.unique
+    # once on the chain, then once for each closed class
+    assert sizes == [3, 1, 1]
