@@ -102,12 +102,16 @@ def _content_lines(text):
     return out
 
 
-def _matrix_entry(token, mode, where):
-    value = _fraction_from_text(token)
+def _float_entry(value, token, where):
     try:
-        return value if mode == EXACT else float(value)
+        return float(value)
     except OverflowError:
         raise ParseError(f"{where}: {token} overflows a float") from None
+
+
+def _matrix_entry(token, mode, where):
+    value = _fraction_from_text(token)
+    return value if mode == EXACT else _float_entry(value, token, where)
 
 
 def _token_rows(text, what, valid, malformed, width_note=""):
@@ -202,6 +206,9 @@ def _parse_json_document(text, mode):
     n = doc.get("n")
     if not isinstance(rows, list) or (n is not None and len(rows) != n):
         raise ParseError("JSON document field 'rows' does not match 'n'")
+    for r, row in enumerate(rows, start=1):
+        if not isinstance(row, list):
+            raise ParseError(f"row {r} is not a list")
     if kind == "graph":
         try:
             graph = Graph(rows)
@@ -237,7 +244,9 @@ def _parse_json_document(text, mode):
     if mode is None:
         mode = FLOAT if has_decimal else EXACT
     if mode == FLOAT:
-        values = [[float(x) for x in row] for row in values]
+        values = [[_float_entry(x, token, f"row {r}, column {c}")
+                   for c, (x, token) in enumerate(zip(vals, row), start=1)]
+                  for r, (vals, row) in enumerate(zip(values, rows), start=1)]
     try:
         sm = StochasticMatrix(values, mode=mode)
     except ValueError as exc:

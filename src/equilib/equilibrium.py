@@ -29,7 +29,6 @@ from .matrix_core import (
     FLOAT,
     FLOAT_SIGN_SLACK,
     StochasticMatrix,
-    clear_denominators,
     determinant,
 )
 from .reducibility import (
@@ -143,27 +142,35 @@ def _state_reduction(q, report):
     return np.ldexp(np.prod(m) * out, int(e.sum()) + shift), out
 
 
-def _weights(sm, edge_threshold):
-    """``(weights, pi, report)`` of a chain: ``pi`` is ``None`` when the
-    class decomposition ``report`` has several closed classes.
+def _kernel(p, cleared, report):
+    """``(weights, pi)`` of a chain with class decomposition ``report``;
+    ``pi`` is ``None`` when there are several closed classes.
 
-    Exact rates are ``P``'s rows scaled to integers by ``f_i``, which
-    scales minor ``i`` by ``prod(f) / f_i``.
+    A float chain passes its matrix ``p`` and ``cleared=None``.  An exact
+    chain passes ``cleared = (rows, factors)``: ``P``'s rows scaled to
+    integers by ``f_i``, which scales minor ``i`` by ``prod(f) / f_i``.
     """
-    report = communicating_classes(sm, edge_threshold=edge_threshold)
-    if sm.mode == FLOAT:
-        w, x = _state_reduction(sm.p, report)
-        return w, None if x is None else x / x.sum(), report
-    rows, factors = clear_denominators(sm.p)
+    if cleared is None:
+        w, x = _state_reduction(p, report)
+        return w, None if x is None else x / x.sum()
+    rows, factors = cleared
     minors, x = _state_reduction(np.array(rows, dtype=object), report)
     scaled = [m * f for m, f in zip(minors, factors)]
     prod_f = math.prod(factors)
     w = np.array([Fraction(s, prod_f) for s in scaled], dtype=object)
     if x is None:
-        return w, None, report
+        return w, None
     total = sum(scaled)
-    pi = np.array([Fraction(s, total) for s in scaled], dtype=object)
-    return w, pi, report
+    return w, np.array([Fraction(s, total) for s in scaled], dtype=object)
+
+
+def _weights(sm, edge_threshold):
+    """``(weights, pi, report)`` of a chain: ``pi`` is ``None`` when the
+    class decomposition ``report`` has several closed classes.  Exact
+    chains use the integer rows kept by their validation.
+    """
+    report = communicating_classes(sm, edge_threshold=edge_threshold)
+    return (*_kernel(sm.p, sm._cleared, report), report)
 
 
 def minor_weights(p):
@@ -185,8 +192,8 @@ def _closed_form_result(w, sm):
     report = communicating_classes(sm)
     if report.n_closed == 1:
         return EquilibriumResult(weights=w, pi=w / total)
-    report = _with_vertices(sm, report, DEFAULT_EDGE_THRESHOLD)
-    return EquilibriumResult(weights=w, decomposition=report)
+    return EquilibriumResult(weights=w,
+                             decomposition=_with_vertices(sm, report))
 
 
 def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
@@ -209,8 +216,8 @@ def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     sm = _as_stochastic(p)
     w, pi, report = _weights(sm, edge_threshold)
     if pi is None:
-        report = _with_vertices(sm, report, edge_threshold)
-        return EquilibriumResult(weights=w, decomposition=report)
+        return EquilibriumResult(weights=w,
+                                 decomposition=_with_vertices(sm, report))
     return EquilibriumResult(weights=w, pi=pi)
 
 

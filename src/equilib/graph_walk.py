@@ -13,14 +13,15 @@ denominator are integers; the only division happens once, at the very end.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import StochasticMatrix
+from .matrix_core import StochasticMatrix, _square_rows
 from .equilibrium import EquilibriumResult, _state_reduction
-from .reducibility import DEFAULT_EDGE_THRESHOLD, _decompose, _with_vertices
+from .reducibility import _decompose, _with_vertices
 
 
 class ZeroOutDegreeError(ValueError):
@@ -33,6 +34,25 @@ class ZeroOutDegreeError(ValueError):
             f"leaving it is undefined")
 
 
+def _edge_count(x, i, j):
+    """Adjacency entry ``(i, j)`` as a nonnegative int, or a located error."""
+    m = None
+    if isinstance(x, (int, np.integer)) or isinstance(
+        x, (float, np.floating)
+    ) and x.is_integer():
+        m = int(x)
+    elif isinstance(x, str):
+        with suppress(ValueError):
+            m = int(x)
+        x = repr(x)
+    if m is None:
+        raise ValueError(
+            f"adjacency entry ({i + 1}, {j + 1}) = {x} is not an integer")
+    if m < 0:
+        raise ValueError(f"adjacency entry ({i + 1}, {j + 1}) is negative")
+    return m
+
+
 class Graph:
     """Directed multigraph stored as a dense integer adjacency matrix.
 
@@ -42,26 +62,12 @@ class Graph:
     """
 
     def __init__(self, adjacency):
-        a = np.asarray(adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got {a.shape}")
-        rows = []
-        for i in range(a.shape[0]):
-            row = []
-            for j in range(a.shape[1]):
-                x = a[i, j]
-                if isinstance(x, (float, np.floating)):
-                    if x != int(x):
-                        raise ValueError(
-                            f"adjacency entry ({i + 1}, {j + 1}) = {x} "
-                            f"is not an integer")
-                x = int(x)
-                if x < 0:
-                    raise ValueError(
-                        f"adjacency entry ({i + 1}, {j + 1}) is negative")
-                row.append(x)
-            rows.append(row)
-        self.adjacency = rows
+        a = _square_rows(adjacency)
+        rows = a.tolist() if isinstance(a, np.ndarray) else a
+        self.adjacency = [
+            [x if type(x) is int and x >= 0 else _edge_count(x, i, j)
+             for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
         self.n = len(rows)
 
     @classmethod
@@ -143,7 +149,6 @@ def graph_stationary(g):
                       dtype=object)
         result = EquilibriumResult(weights=weights, pi=pi)
     else:
-        report = _with_vertices(walk_matrix(g), report,
-                                DEFAULT_EDGE_THRESHOLD)
+        report = _with_vertices(walk_matrix(g), report)
         result = EquilibriumResult(weights=weights, decomposition=report)
     return GraphEquilibrium(numerators, total, result)

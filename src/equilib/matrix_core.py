@@ -5,7 +5,11 @@ Matrices live in one of two scalar modes:
 * ``"exact"``  -- entries are :class:`fractions.Fraction` values held in an
   ``object``-dtype numpy array.  All results are bit-exact; determinants are
   computed by fraction-free (Bareiss) elimination over unbounded integers
-  after clearing denominators row by row.
+  after clearing denominators row by row.  An exact
+  :class:`StochasticMatrix` is validated in one pass over its rows, in
+  integers: each row is scaled by the lcm of its denominators, and the
+  matrix carries those integer-cleared rows for the class analysis and the
+  weight kernel.
 * ``"float"``  -- entries are ``float64``.  Determinants use Gaussian
   elimination with partial pivoting; a pivot smaller than ``1e-14`` times the
   matrix row norm is treated as a structural zero.
@@ -32,12 +36,18 @@ ENTRY_ATOL = 1e-12
 ROW_SUM_ATOL = 1e-9
 
 
-def _to_fraction(x):
+class _FloatEntry(Exception):
+    """A float entry: a matrix whose mode is inferred is a float matrix."""
+
+
+def _to_fraction(x, infer=False):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, (float, np.floating)):
+        if infer:
+            raise _FloatEntry
         return Fraction(float(x))
     return Fraction(x)
 
@@ -62,27 +72,69 @@ def matrix_mode(a):
     return FLOAT if np.issubdtype(a.dtype, np.floating) else EXACT
 
 
-def _square(data, mode=None):
-    """Coerce to a square ndarray in a single scalar mode."""
+def _square_rows(data):
+    """``data`` as an ndarray or a list of rows, checked to be square.
+
+    A nonempty list of ``n`` list rows is checked row by row, so a ragged
+    row is reported by its index rather than by numpy's shape inference.
+    """
+    if isinstance(data, (list, tuple)) and data and all(
+        isinstance(row, (list, tuple)) for row in data
+    ):
+        n = len(data)
+        for i, row in enumerate(data, start=1):
+            if len(row) != n:
+                raise ValueError(
+                    f"row {i} has {len(row)} entries, expected {n}")
+        return data
     a = np.asarray(data)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if mode is None:
-        mode = matrix_mode(a)
-        if a.dtype == object and any(
-            isinstance(x, (float, np.floating)) for x in a.flat
-        ):
-            mode = FLOAT
-    if mode == FLOAT or a.dtype.kind == "f":
-        f = as_float_array(a)
-        bad = np.argwhere(~np.isfinite(f))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"entry at row {i + 1}, column {j + 1} is not finite")
-        if mode == FLOAT:
-            return f
-    return as_exact_array(a)
+    return a
+
+
+def _exact_rows(a, mode):
+    """The rows of ``a``, from :func:`_square_rows`, as lists of Fractions.
+
+    Returns ``None`` for a float matrix: ``mode`` is float, or it is unset
+    and ``a`` has a float dtype or a float entry.
+    """
+    if mode == FLOAT or mode is None and isinstance(a, np.ndarray) \
+            and a.dtype.kind == "f":
+        return None
+    out = []
+    for i, row in enumerate(a.tolist() if isinstance(a, np.ndarray) else a):
+        try:
+            out.append([x if type(x) is Fraction
+                        else _to_fraction(x, mode is None) for x in row])
+        except _FloatEntry:
+            return None
+        except (ValueError, OverflowError):
+            for j, x in enumerate(row, start=1):
+                if isinstance(x, (float, np.floating)) \
+                        and not math.isfinite(x):
+                    raise ValueError(f"entry at row {i + 1}, column {j} "
+                                     "is not finite") from None
+            raise
+    return out
+
+
+def _float_square(a):
+    f = as_float_array(a)
+    bad = np.argwhere(~np.isfinite(f))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"entry at row {i + 1}, column {j + 1} is not finite")
+    return f
+
+
+def _square(data, mode=None):
+    """Coerce to a square ndarray in a single scalar mode."""
+    a = _square_rows(data)
+    rows = _exact_rows(a, mode)
+    if rows is None:
+        return _float_square(a)
+    return np.array(rows, dtype=object).reshape(len(a), len(a))
 
 
 def identity_matrix(n, mode=EXACT):
@@ -148,11 +200,10 @@ def clear_denominators(a):
     rows = []
     factors = []
     for row in a:
-        fr = [_to_fraction(x) for x in row]
-        f = 1
-        for x in fr:
-            f = math.lcm(f, x.denominator)
-        rows.append([int(x.numerator) * (f // x.denominator) for x in fr])
+        fr = [x if type(x) is Fraction else _to_fraction(x) for x in row]
+        dens = [x.denominator for x in fr]
+        f = math.lcm(*dens)
+        rows.append([x.numerator * (f // d) for x, d in zip(fr, dens)])
         factors.append(f)
     return rows, factors
 
@@ -185,6 +236,12 @@ def _float_determinant(a):
     return float(det)
 
 
+def _determinant(a):
+    if matrix_mode(a) == EXACT:
+        return _exact_determinant(a)
+    return _float_determinant(a)
+
+
 def determinant(m):
     """Determinant of a square matrix in its scalar mode.
 
@@ -192,10 +249,7 @@ def determinant(m):
     rounding; float mode returns a ``float`` from partially pivoted
     elimination.  The 0x0 determinant is 1 by convention.
     """
-    a = _square(m)
-    if matrix_mode(a) == EXACT:
-        return _exact_determinant(a)
-    return _float_determinant(a)
+    return _determinant(_square(m))
 
 
 def submatrix_without(m, i, j):
@@ -210,7 +264,7 @@ def minor(m, i, j):
     n = a.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"minor index ({i}, {j}) out of range for n={n}")
-    return determinant(submatrix_without(a, i, j))
+    return _determinant(submatrix_without(a, i, j))
 
 
 def principal_minor(m, i):
@@ -234,7 +288,7 @@ def adjugate(m):
     adj = np.empty((n, n), dtype=a.dtype)
     for i in range(n):
         for j in range(n):
-            cof = minor(a, i, j)
+            cof = _determinant(submatrix_without(a, i, j))
             adj[j, i] = cof if (i + j) % 2 == 0 else -cof
     return adj
 
@@ -266,25 +320,32 @@ class StochasticMatrix:
         Number of states.
     mode : str
         ``"exact"`` or ``"float"``.
+
+    An exact matrix also keeps ``_cleared = (rows, factors)`` from its
+    validation: ``rows[i]`` is ``p[i]`` times ``factors[i]``, the lcm of the
+    row's denominators, as Python ints.  Float matrices keep ``None``.
     """
 
     def __init__(self, rows, mode=None):
-        p = _square(rows, mode)
-        n = p.shape[0]
+        a = _square_rows(rows)
+        n = len(a)
         if n == 0:
             raise ValueError("a stochastic matrix needs at least one state")
-        if matrix_mode(p) == EXACT:
-            for i in range(n):
-                s = Fraction(0)
-                for j in range(n):
-                    if p[i, j] < 0:
-                        raise ValueError(
-                            f"negative entry at row {i + 1}, column {j + 1}")
-                    s += p[i, j]
-                if s != 1:
-                    raise ValueError(f"row {i + 1} sums to {s}, expected 1")
+        fractions = _exact_rows(a, mode)
+        if fractions is not None:
+            # signs and row sums are checked on the integer-cleared rows
+            ints, factors = self._cleared = clear_denominators(fractions)
+            for i, (row, f) in enumerate(zip(ints, factors), start=1):
+                if min(row) < 0:
+                    j = next(j for j, v in enumerate(row, start=1) if v < 0)
+                    raise ValueError(f"negative entry at row {i}, column {j}")
+                if sum(row) != f:
+                    raise ValueError(f"row {i} sums to {Fraction(sum(row), f)}"
+                                     ", expected 1")
+            p = np.array(fractions, dtype=object)
             self.mode = EXACT
         else:
+            p = _float_square(a)
             bad = np.argwhere(p < -ENTRY_ATOL)
             if bad.size:
                 i, j = bad[0]
@@ -298,6 +359,7 @@ class StochasticMatrix:
                 raise ValueError(
                     f"row {i + 1} sums to {float(sums[i])!r}, expected 1")
             p = p / sums[:, None]
+            self._cleared = None
             self.mode = FLOAT
         self.p = p
         self.n = n
@@ -318,7 +380,7 @@ class StochasticMatrix:
     def to_exact(self):
         if self.mode == EXACT:
             return self
-        return StochasticMatrix(as_exact_array(self.p), mode=EXACT)
+        return StochasticMatrix(self.p, mode=EXACT)
 
     def i_minus_p(self):
         """The singular Z-matrix ``I - P`` in the matrix's own mode."""

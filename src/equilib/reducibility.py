@@ -22,8 +22,10 @@ DEFAULT_EDGE_THRESHOLD = 1e-14
 class InconsistentDecompositionError(RuntimeError):
     """A closed-class restriction failed to produce a unique equilibrium.
 
-    This cannot happen for a genuine communicating class; raising it
-    signals a bug rather than a property of the input.
+    This cannot happen for a genuine communicating class.  Each closed
+    class is solved with a one-class report, which always gives a unique
+    equilibrium, so nothing in the package raises it; it stays importable
+    for callers that catch it.
     """
 
 
@@ -53,8 +55,9 @@ class DecompositionReport:
 
 def _structural_adjacency(sm, edge_threshold):
     """Neighbor lists of the transition digraph (self-loops included)."""
-    edges = sm.p != 0 if sm.mode == EXACT else sm.p > edge_threshold
-    return [np.flatnonzero(row).tolist() for row in edges]
+    if sm.mode == EXACT:
+        return [[j for j, v in enumerate(row) if v] for row in sm._cleared[0]]
+    return [np.flatnonzero(row).tolist() for row in sm.p > edge_threshold]
 
 
 def _strongly_connected_components(adj):
@@ -155,26 +158,33 @@ def equilibrium_polytope(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     """
     sm = StochasticMatrix.coerce(p)
     report = communicating_classes(sm, edge_threshold=edge_threshold)
-    return _with_vertices(sm, report, edge_threshold)
+    return _with_vertices(sm, report)
 
 
-def _with_vertices(sm, report, edge_threshold):
-    """``report``, the decomposition of ``sm``, with its vertex equilibria."""
-    from .equilibrium import stationary  # deferred; see module note below
+def _with_vertices(sm, report):
+    """``report``, the decomposition of ``sm``, with its vertex equilibria.
+
+    Each closed class is irreducible by construction, so the kernel runs
+    on its restriction with a one-class report and no second class pass.
+    An exact closed class keeps all of its row mass, so it slices its rows
+    out of the integers kept by ``sm`` with their row factors unchanged.
+    """
+    from .equilibrium import _kernel  # deferred; see module note below
 
     vertices = []
-    for cls, closed in zip(report.classes, report.closed_flags):
-        if not closed:
-            continue
-        sub = StochasticMatrix(sm.p[np.ix_(cls, cls)], mode=sm.mode)
-        res = stationary(sub, edge_threshold=edge_threshold)
-        if not res.unique:
-            raise InconsistentDecompositionError(
-                f"closed class {cls} did not produce a unique equilibrium")
-        vertices.append(_embed(res.pi, cls, sm.n, sm.mode))
+    for cls in report.closed_classes:
+        one_class = DecompositionReport([list(range(len(cls)))], [True], [])
+        if sm.mode == EXACT:
+            rows, factors = sm._cleared
+            sub = [[rows[i][j] for j in cls] for i in cls]
+            _, pi = _kernel(None, (sub, [factors[i] for i in cls]), one_class)
+        else:
+            sub = StochasticMatrix(sm.p[np.ix_(cls, cls)], mode=sm.mode)
+            _, pi = _kernel(sub.p, None, one_class)
+        vertices.append(_embed(pi, cls, sm.n, sm.mode))
     return replace(report, vertex_equilibria=vertices)
 
 
 # equilibrium.stationary reports degeneracy through this module while the
-# polytope construction needs stationary for each closed class; the import
-# above is deferred to keep module loading acyclic.
+# vertices need its weight kernel for each closed class; the import above is
+# deferred to keep module loading acyclic.

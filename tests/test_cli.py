@@ -333,3 +333,48 @@ def test_verify_rejects_non_finite_json_entries(tmp_path, capsys):
     code, _, err = run(capsys, "verify", pi_file, matrix)
     assert code == 1
     assert "error: vector entry 1 is not finite" in err
+
+
+def test_json_matrix_row_that_is_not_a_list_is_located(tmp_path, capsys):
+    path = write(tmp_path, "m.json", '{"kind": "matrix", "rows": [1, 2]}')
+    code, out, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert out == ""
+    assert "error: row 1 is not a list" in err
+    path = write(tmp_path, "g.json", '{"kind": "graph", "rows": [[1], 2]}')
+    code, _, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert "error: row 2 is not a list" in err
+
+
+@pytest.mark.parametrize("rows", ['[[1, 0], [1]]', '[[0.5, 0.5], [1.0]]'])
+def test_ragged_json_matrix_rows_are_located(tmp_path, capsys, rows):
+    path = write(tmp_path, "m.json", '{"kind": "matrix", "rows": %s}' % rows)
+    code, out, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert out == ""
+    assert "error: row 2 has 1 entries, expected 2" in err
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ('"a"', "'a'"), ("null", "None"),
+])
+def test_json_graph_entry_that_is_not_an_integer_is_located(
+        tmp_path, capsys, entry, shown):
+    path = write(tmp_path, "g.json",
+                 '{"kind": "graph", "rows": [[%s, 1], [1, 0]]}' % entry)
+    code, out, err = run(capsys, "stationary", path)
+    assert code == 1
+    assert out == ""
+    assert f"error: adjacency entry (1, 1) = {shown} is not an integer" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "float"]])
+def test_json_string_overflowing_a_float_is_located(tmp_path, capsys, mode):
+    path = write(tmp_path, "m.json",
+                 '{"kind": "matrix", "rows": [[0.5, 0.5], ["1e999", 0]]}')
+    code, out, err = run(capsys, "stationary", *mode, path)
+    assert code == 1
+    assert out == ""
+    assert "error: row 2, column 1: 1e999 overflows a float" in err

@@ -1,0 +1,93 @@
+"""Fuzzing of the CLI's JSON input path.
+
+Documents are built from nested lists, ints, floats (NaN and infinities
+too), strings, booleans and null, and run through :func:`equilib.cli.main`
+in the same process.  Every outcome must be a result (exit 0 or 2) or a
+reported error (exit 1 with ``error: ...`` on stderr), never an uncaught
+exception.
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from equilib.cli import main
+
+NUMERIC_TEXT = ["0", "1", "-1", "1/2", "2/3", "1/0", "0.5", ".25", "1e999",
+                "1e-400", "-0.5", "3/2", "x", "", "nan", "1//2"]
+
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 0.25, 1.0]),
+    st.sampled_from(NUMERIC_TEXT),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+
+# whole rows that are valid for a matrix, so that some documents get past
+# validation to the commands
+VALID_ROWS = {
+    2: [[1, 0], [0, 1], ["1/2", "1/2"], [0.25, 0.75], ["1/3", "2/3"]],
+    3: [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/3", "1/3", "1/3"],
+        [0, 0.5, 0.5], ["1/2", 0, "1/2"]],
+}
+
+
+def square(n):
+    row = st.one_of(st.sampled_from(VALID_ROWS[n]),
+                    st.lists(st.one_of(st.integers(0, 2), scalars),
+                             min_size=n, max_size=n))
+    return st.lists(row, min_size=n, max_size=n)
+
+
+rows = st.one_of(
+    st.sampled_from(sorted(VALID_ROWS)).flatmap(square),
+    st.recursive(scalars, lambda inner: st.lists(inner, max_size=4),
+                 max_leaves=20),
+)
+
+documents = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["matrix", "graph", "other"]),
+     "rows": rows},
+    optional={"n": st.one_of(st.integers(0, 4), st.none(),
+                             st.text(max_size=2))},
+)
+
+commands = st.sampled_from([
+    ["stationary"], ["weights"], ["classes"], ["polytope"],
+    ["ratio", "1", "2"], ["stationary", "--json"],
+])
+
+modes = st.sampled_from([[], ["--mode", "exact"], ["--mode", "float"]])
+
+
+def run_in_process(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents, command=commands, mode=modes)
+def test_json_documents_give_a_result_or_a_located_error(doc, command, mode):
+    text = json.dumps(doc, allow_nan=True)
+    code, out, err = run_in_process(command + ["-"] + mode, text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""

@@ -309,3 +309,42 @@ def test_stochastic_rejects_non_finite_entry(bad):
     with pytest.raises(ValueError,
                        match="entry at row 2, column 1 is not finite"):
         StochasticMatrix(np.array([[0.5, 0.5], [bad, 1.0]]), mode="exact")
+
+
+# --- coercion at the public entry point only ----------------------------------
+
+def _six_by_six(rng, singular):
+    rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
+            for _ in range(6)]
+    if singular:
+        rows[5] = [a - 2 * b for a, b in zip(rows[1], rows[3])]
+    return np.array(rows, dtype=object)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_adjugate_identity_on_exact_6x6(singular):
+    m = _six_by_six(make_rng(4103 + singular), singular)
+    d = determinant(m)
+    assert (d == 0) == singular
+    adj = adjugate(m)
+    assert all(type(x) is Fraction for x in adj.flat)
+    assert np.array_equal(adj @ m, d * identity_matrix(6))
+    assert np.array_equal(m @ adj, d * identity_matrix(6))
+
+
+def test_minor_determinant_and_adjugate_coerce_once(monkeypatch):
+    import equilib.matrix_core as matrix_core
+
+    calls = []
+    square = matrix_core._square
+
+    def counting(data, mode=None):
+        calls.append(np.shape(data))
+        return square(data, mode)
+
+    monkeypatch.setattr(matrix_core, "_square", counting)
+    m = _six_by_six(make_rng(4105), singular=False)
+    adjugate(m)
+    minor(m, 2, 3)
+    determinant(m)
+    assert calls == [(6, 6)] * 3

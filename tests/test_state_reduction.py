@@ -277,5 +277,5 @@ def test_degenerate_chain_decomposes_the_full_chain_once(monkeypatch):
     monkeypatch.setattr(reducibility, "_decompose", counting)
     res = stationary([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 4), F(1, 4)]])
     assert not res.unique
-    # once on the chain, then once for each closed class
-    assert sizes == [3, 1, 1]
+    # once on the chain; the closed classes are irreducible by construction
+    assert sizes == [3]

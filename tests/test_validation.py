@@ -1,0 +1,169 @@
+"""Tests of the single validating pass over exact stochastic matrices.
+
+The pass converts each row to ``Fraction``, clears its denominators and
+checks signs and the row sum on the integers.  The matrix keeps the
+integer rows it built; the class analysis, the weight kernel and the
+polytope vertices read them instead of clearing ``P`` again.
+"""
+
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from equilib import (
+    Graph,
+    StochasticMatrix,
+    clear_denominators,
+    equilibrium_polytope,
+    stationary,
+)
+from support import (
+    make_rng,
+    permute_rows,
+    random_permutation,
+    random_stochastic_rows,
+    random_structured_rows,
+    with_transitory,
+)
+
+F = Fraction
+
+
+def _exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
+# --- the kept integer rows -------------------------------------------------
+
+def test_kept_rows_equal_clear_denominators_on_random_chains():
+    rng = make_rng(4101)
+    for _ in range(60):
+        sm = StochasticMatrix(random_structured_rows(rng, max_n=9,
+                                                     max_den=30))
+        assert sm._cleared == clear_denominators(sm.p)
+
+
+def test_kept_rows_from_integer_and_float_arrays():
+    sm = StochasticMatrix(np.array([[0, 1], [1, 0]]))
+    assert sm._cleared == ([[0, 1], [1, 0]], [1, 1])
+    sm = StochasticMatrix(np.array([[0.25, 0.75], [0.5, 0.5]]), mode="exact")
+    assert sm._cleared == ([[1, 3], [1, 1]], [4, 2])
+    assert sm._cleared == clear_denominators(sm.p)
+    assert StochasticMatrix([[0.5, 0.5], [1.0, 0.0]])._cleared is None
+
+
+def test_p_holds_fractions_and_keeps_the_callers_objects():
+    half = F(1, 2)
+    sm = StochasticMatrix([[half, half], [1, 0]])
+    assert sm.p.dtype == object and sm.p.shape == (2, 2)
+    assert sm.p[0, 0] is half
+    assert all(type(x) is Fraction for x in sm.p.flat)
+
+
+# --- validation messages -----------------------------------------------------
+
+def test_first_negative_entry_in_row_order_is_reported():
+    rows = [[F(1, 2), F(1, 2), F(0)],
+            [F(1), F(1, 2), F(-1, 2)],
+            [F(-1), F(1), F(1)]]
+    with pytest.raises(ValueError,
+                       match=_exactly("negative entry at row 2, column 3")):
+        StochasticMatrix(rows)
+
+
+def test_row_sum_is_reported_as_an_exact_fraction():
+    with pytest.raises(ValueError,
+                       match=_exactly("row 1 sums to 7/6, expected 1")):
+        StochasticMatrix([[F(1, 2), F(2, 3)], [F(-1), F(2)]])
+    with pytest.raises(ValueError,
+                       match=_exactly("row 2 sums to 5/6, expected 1")):
+        StochasticMatrix([[1, 0], ["1/2", "1/3"]])
+
+
+def test_a_float_entry_makes_an_inferred_matrix_float_before_any_error():
+    # the exact row 1 is invalid, but row 2 holds a float: float rules apply
+    with pytest.raises(ValueError, match=r"^row 1 sums to 0\.8333"):
+        StochasticMatrix([[F(1, 2), F(1, 3)], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_ragged_rows_are_located(mode):
+    with pytest.raises(ValueError,
+                       match=_exactly("row 2 has 1 entries, expected 2")):
+        StochasticMatrix([[F(1), F(0)], [F(1)]], mode=mode)
+
+
+# --- closed classes read the kept rows ---------------------------------------
+
+def test_polytope_vertices_equal_stationary_of_each_closed_class():
+    rng = make_rng(4102)
+    for _ in range(25):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        blocks = [random_stochastic_rows(rng, s, max_den=20,
+                                         strictly_positive=True)
+                  for s in sizes]
+        rows = with_transitory(rng, rng.randint(0, 3), blocks, max_den=20)
+        rows = permute_rows(rows, random_permutation(rng, len(rows)))
+        report = equilibrium_polytope(rows)
+        closed = report.closed_classes
+        assert len(closed) == len(blocks)
+        degenerate = stationary(rows).decomposition
+        assert [list(v) for v in degenerate.vertex_equilibria] == \
+            [list(v) for v in report.vertex_equilibria]
+        for cls, vertex in zip(closed, report.vertex_equilibria):
+            alone = stationary([[rows[i][j] for j in cls] for i in cls])
+            assert alone.unique
+            assert [vertex[i] for i in cls] == list(alone.pi)
+            assert all(type(x) is Fraction for x in vertex)
+            assert all(vertex[i] == 0 for i in range(len(rows))
+                       if i not in cls)
+
+
+def test_closed_classes_get_no_second_class_pass(monkeypatch):
+    import equilib.reducibility as reducibility
+
+    sizes = []
+    scc = reducibility._strongly_connected_components
+
+    def counting(adj):
+        sizes.append(len(adj))
+        return scc(adj)
+
+    monkeypatch.setattr(reducibility, "_strongly_connected_components",
+                        counting)
+    rows = [[F(1, 2), F(1, 2), 0, 0], [F(1, 3), F(2, 3), 0, 0],
+            [0, 0, 0, 1], [0, 0, 1, 0]]
+    report = equilibrium_polytope(rows)
+    assert len(report.vertex_equilibria) == 2
+    assert sizes == [4]
+
+
+# --- graph adjacency entries ------------------------------------------------
+
+@pytest.mark.parametrize("bad, shown", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ("a", "'a'"), (None, "None"), (1.5, "1.5"), ([1], "[1]"),
+])
+def test_graph_entries_that_are_not_integers_are_located(bad, shown):
+    with pytest.raises(ValueError, match=_exactly(
+            f"adjacency entry (2, 1) = {shown} is not an integer")):
+        Graph([[0, 1], [bad, 0]])
+
+
+def test_graph_accepts_integral_floats_and_numpy_integers():
+    g = Graph(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    assert g.adjacency == [[0, 2], [1, 0]]
+    assert all(type(x) is int for row in g.adjacency for x in row)
+    g = Graph([[np.int64(0), np.int32(3)], [True, 0]])
+    assert g.adjacency == [[0, 3], [1, 0]]
+
+
+def test_graph_rejects_ragged_and_negative_rows():
+    with pytest.raises(ValueError,
+                       match=_exactly("row 2 has 1 entries, expected 2")):
+        Graph([[0, 1], [1]])
+    with pytest.raises(ValueError,
+                       match=_exactly("adjacency entry (1, 2) is negative")):
+        Graph([[0, -1], [1, 0]])
