@@ -3,14 +3,15 @@
 Usage::
 
     equilib <subcommand> [--json] [--mode exact|float] [--tol X]
-            [--epsilon X] [--edge-threshold X] [file|-]
+            [--epsilon X] [file|-]
 
 Subcommands: ``stationary``, ``weights``, ``classes``, ``polytope``,
 ``ratio I J``, ``compare``, ``verify PI_FILE``.  Input is a matrix file
 (one row per line, entries as integers, decimals or rationals ``a/b``), a
 graph edge list headed by ``nodes N``, or a JSON document with fields
 ``kind``/``n``/``rows``.  All state indices in input and output are
-1-based.  Exit status: 0 for a unique equilibrium, 2 for a degenerate
+1-based.  A float entry is an edge of the chain exactly when it is
+nonzero.  Exit status: 0 for a unique equilibrium, 2 for a degenerate
 chain, 1 for errors.
 """
 
@@ -33,11 +34,7 @@ from .equilibrium import (
     stationary,
     verify_equilibrium,
 )
-from .reducibility import (
-    DEFAULT_EDGE_THRESHOLD,
-    communicating_classes,
-    equilibrium_polytope,
-)
+from .reducibility import communicating_classes, equilibrium_polytope
 from .graph_walk import Graph, ZeroOutDegreeError, graph_stationary, walk_matrix
 from .oracle import (
     SingularSystemError,
@@ -366,8 +363,7 @@ def _cmd_stationary(doc, args):
     if doc.kind == "graph" and args.epsilon is None:
         res = graph_stationary(doc.graph).result
     else:
-        res = stationary(_working_matrix(doc, args),
-                         edge_threshold=args.edge_threshold)
+        res = stationary(_working_matrix(doc, args))
     payload = {"kind": "stationary", "mode": doc.mode,
                "weights": _json_vector(res.weights)}
     if res.unique:
@@ -399,7 +395,7 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    w, pi, _ = _weights(_working_matrix(doc, args), args.edge_threshold)
+    w, pi, _ = _weights(_working_matrix(doc, args))
     total = w.sum()
     payload = {"kind": "weights", "mode": doc.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
@@ -410,16 +406,14 @@ def _cmd_weights(doc, args):
 
 
 def _cmd_classes(doc, args):
-    report = communicating_classes(_working_matrix(doc, args),
-                                   edge_threshold=args.edge_threshold)
+    report = communicating_classes(_working_matrix(doc, args))
     payload = {"kind": "classes", "report": _report_json(report)}
     _emit(args, _report_text(report, with_vertices=False), payload)
     return 0 if report.n_closed == 1 else 2
 
 
 def _cmd_polytope(doc, args):
-    report = equilibrium_polytope(_working_matrix(doc, args),
-                                  edge_threshold=args.edge_threshold)
+    report = equilibrium_polytope(_working_matrix(doc, args))
     payload = {"kind": "polytope", "report": _report_json(report)}
     _emit(args, _report_text(report, with_vertices=True), payload)
     return 0 if len(report.vertex_equilibria) == 1 else 2
@@ -506,7 +500,7 @@ def _cmd_compare(doc, args):
         payload_methods[name] = {"status": status, **fields}
 
     t0 = time.perf_counter()
-    res = stationary(sm, edge_threshold=args.edge_threshold)
+    res = stationary(sm)
     seconds = time.perf_counter() - t0
     if res.unique:
         solved("minor_weights", seconds, res.pi, sm)
@@ -601,9 +595,6 @@ def _build_parser():
         p.add_argument("--epsilon", default=None, metavar="X",
                        help="perturb the chain toward uniform by X before "
                             "computing")
-        p.add_argument("--edge-threshold", type=float,
-                       default=DEFAULT_EDGE_THRESHOLD,
-                       help="float entries at or below this are not edges")
 
     for name, help_text in [
         ("stationary", "stationary distribution, or the degeneracy report"),

@@ -32,7 +32,6 @@ from .matrix_core import (
     determinant,
 )
 from .reducibility import (
-    DEFAULT_EDGE_THRESHOLD,
     DecompositionReport,
     _with_vertices,
     communicating_classes,
@@ -164,12 +163,12 @@ def _kernel(p, cleared, report):
     return w, np.array([Fraction(s, total) for s in scaled], dtype=object)
 
 
-def _weights(sm, edge_threshold):
+def _weights(sm):
     """``(weights, pi, report)`` of a chain: ``pi`` is ``None`` when the
     class decomposition ``report`` has several closed classes.  Exact
     chains use the integer rows kept by their validation.
     """
-    report = communicating_classes(sm, edge_threshold=edge_threshold)
+    report = communicating_classes(sm)
     return (*_kernel(sm.p, sm._cleared, report), report)
 
 
@@ -181,30 +180,29 @@ def minor_weights(p):
     they are diagnostics, and :func:`stationary` does not derive ``pi``
     from them.
     """
-    return _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)[0]
+    return _weights(_as_stochastic(p))[0]
 
 
-def _closed_form_result(w, sm):
+def _closed_form_result(w, bands, mode):
     total = w.sum()
     # exact weights all vanish exactly when there are several closed classes
-    if sm.mode == EXACT and total != 0:
+    if mode == EXACT and total != 0:
         return EquilibriumResult(weights=w, pi=w / total)
+    sm = matrix_from_bands(bands, mode)
     report = communicating_classes(sm)
     if report.n_closed == 1:
         return EquilibriumResult(weights=w, pi=w / total)
-    return EquilibriumResult(weights=w,
-                             decomposition=_with_vertices(sm, report))
+    return EquilibriumResult(
+        weights=w, decomposition=_with_vertices(report, sm.p, sm._cleared))
 
 
-def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
+def stationary(p):
     """Stationary distribution of a stochastic matrix.
 
     Parameters
     ----------
     p : StochasticMatrix or array-like
         Row-stochastic matrix; lists, ndarrays and Fractions are accepted.
-    edge_threshold : float, optional
-        Structural-zero cutoff used by the class analysis in float mode.
 
     Returns
     -------
@@ -214,10 +212,10 @@ def stationary(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
         equilibria.  Degeneracy is a result, not an error.
     """
     sm = _as_stochastic(p)
-    w, pi, report = _weights(sm, edge_threshold)
+    w, pi, report = _weights(sm)
     if pi is None:
-        return EquilibriumResult(weights=w,
-                                 decomposition=_with_vertices(sm, report))
+        return EquilibriumResult(
+            weights=w, decomposition=_with_vertices(report, sm.p, sm._cleared))
     return EquilibriumResult(weights=w, pi=pi)
 
 
@@ -227,7 +225,7 @@ def relative_probability(p, i, j):
     Raises ``ZeroDivisionError`` when state ``j`` has a vanishing weight
     (zero stationary mass or a degenerate chain).
     """
-    _, pi, _ = _weights(_as_stochastic(p), DEFAULT_EDGE_THRESHOLD)
+    _, pi, _ = _weights(_as_stochastic(p))
     if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
             f"state {j} has zero minor weight; ratio undefined")
@@ -324,7 +322,7 @@ def closed_form_2(p, q):
     (p, q), mode = _coerce_params([p, q])
     _check_bands([[p], [q]], mode)
     w = _weight_array([q, p], mode)
-    return _closed_form_result(w, matrix_from_bands([[p], [q]], mode))
+    return _closed_form_result(w, [[p], [q]], mode)
 
 
 def closed_form_3(p1, p2, q1, q2, r1, r2):
@@ -347,7 +345,7 @@ def closed_form_3(p1, p2, q1, q2, r1, r2):
     w2 = r1 * p1 + r2 * p1 + r2 * p2
     w3 = p1 * q1 + p2 * q1 + p2 * q2
     w = _weight_array([w1, w2, w3], mode)
-    return _closed_form_result(w, matrix_from_bands(bands, mode))
+    return _closed_form_result(w, bands, mode)
 
 
 # the 16 monomials of the first four-state weight, as (a, b, c) exponents
@@ -380,7 +378,7 @@ def closed_form_4(p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3):
         w.append(sum(a[x - 1] * b[y - 1] * c[z - 1]
                      for x, y, z in _W4_FIRST_WEIGHT_TERMS))
     w = _weight_array(w, mode)
-    return _closed_form_result(w, matrix_from_bands(bands, mode))
+    return _closed_form_result(w, bands, mode)
 
 
 def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
@@ -432,7 +430,7 @@ def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
          [-s2, -s3, -s4, ss]],
     ]
     w = _weight_array([determinant(m) for m in minors], mode)
-    return _closed_form_result(w, matrix_from_bands(bands, mode))
+    return _closed_form_result(w, bands, mode)
 
 
 def _weight_array(values, mode):

@@ -6,10 +6,12 @@ taken from the integer matrix ``D - A`` instead of the rational ``I - P``:
 
     pi_i  proportional to  d_i * principal_minor(D - A, i)
 
-All ``n`` minors come from one fraction-free state-reduction pass over the
-adjacency counts, O(n^3) integer operations, the same kernel as
-:func:`~equilib.equilibrium.minor_weights`.  Every numerator and the common
-denominator are integers; the only division happens once, at the very end.
+The adjacency rows are ``P``'s rows cleared of denominators by the row
+factors ``d_i``, so all ``n`` minors come from the same kernel as
+:func:`~equilib.equilibrium.minor_weights`: one fraction-free
+state-reduction pass over the adjacency counts, O(n^3) integer operations.
+Every numerator and the common denominator are integers; the only division
+happens once, at the very end.
 """
 
 import math
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import StochasticMatrix, _square_rows
-from .equilibrium import EquilibriumResult, _state_reduction
+from .equilibrium import EquilibriumResult, _kernel
 from .reducibility import _decompose, _with_vertices
 
 
@@ -37,7 +39,9 @@ class ZeroOutDegreeError(ValueError):
 def _edge_count(x, i, j):
     """Adjacency entry ``(i, j)`` as a nonnegative int, or a located error."""
     m = None
-    if isinstance(x, (int, np.integer)) or isinstance(
+    if isinstance(x, bool):  # a JSON true or false is not a count
+        pass
+    elif isinstance(x, (int, np.integer)) or isinstance(
         x, (float, np.floating)
     ) and x.is_integer():
         m = int(x)
@@ -135,20 +139,17 @@ def graph_stationary(g):
         :class:`~equilib.equilibrium.EquilibriumResult`, whose weights are
         the exact minor weights of the walk matrix.
     """
-    degrees = degree_vector(g)
+    cleared = (g.adjacency, degree_vector(g))
     report = _decompose([[j for j, m in enumerate(row) if m]
                          for row in g.adjacency])
-    minors, x = _state_reduction(np.array(g.adjacency, dtype=object), report)
-    numerators = [int(d) * m for d, m in zip(degrees, minors)]
-    total = sum(numerators)
-    prod_d = math.prod(int(d) for d in degrees)
-    weights = np.array([Fraction(num, prod_d) for num in numerators],
-                       dtype=object)
-    if x is not None:
-        pi = np.array([Fraction(num, total) for num in numerators],
-                      dtype=object)
+    weights, pi = _kernel(None, cleared, report)
+    prod_d = math.prod(cleared[1])
+    # w_i * prod(d), without a second gcd: each denominator divides prod(d)
+    numerators = [w.numerator * (prod_d // w.denominator) for w in weights]
+    if pi is not None:
         result = EquilibriumResult(weights=weights, pi=pi)
     else:
-        report = _with_vertices(walk_matrix(g), report)
-        result = EquilibriumResult(weights=weights, decomposition=report)
-    return GraphEquilibrium(numerators, total, result)
+        result = EquilibriumResult(
+            weights=weights,
+            decomposition=_with_vertices(report, None, cleared))
+    return GraphEquilibrium(numerators, sum(numerators), result)

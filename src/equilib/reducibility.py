@@ -2,10 +2,10 @@
 equilibrium is not unique, the vertices of the polytope of equilibria.
 
 States communicate when each is reachable from the other through edges
-``i -> j`` with ``p_ij`` structurally nonzero (exact mode: nonzero; float
-mode: above a configurable threshold).  A class is closed when no edge
-leaves it; states in non-closed classes are transitory and carry no
-stationary mass.
+``i -> j`` with ``p_ij`` nonzero, in both scalar modes: which minors vanish
+is decided by the nonzero pattern alone (Markov chain tree theorem), not by
+a float tolerance.  A class is closed when no edge leaves it; states in
+non-closed classes are transitory and carry no stationary mass.
 """
 
 from dataclasses import dataclass, field, replace
@@ -14,9 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import EXACT, StochasticMatrix
-
-# float entries at or below this are not treated as edges
-DEFAULT_EDGE_THRESHOLD = 1e-14
 
 
 class InconsistentDecompositionError(RuntimeError):
@@ -53,11 +50,11 @@ class DecompositionReport:
         return sum(self.closed_flags)
 
 
-def _structural_adjacency(sm, edge_threshold):
+def _structural_adjacency(sm):
     """Neighbor lists of the transition digraph (self-loops included)."""
     if sm.mode == EXACT:
         return [[j for j, v in enumerate(row) if v] for row in sm._cleared[0]]
-    return [np.flatnonzero(row).tolist() for row in sm.p > edge_threshold]
+    return [np.flatnonzero(row).tolist() for row in sm.p != 0]
 
 
 def _strongly_connected_components(adj):
@@ -111,14 +108,14 @@ def _strongly_connected_components(adj):
     return comps
 
 
-def communicating_classes(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
+def communicating_classes(p):
     """Partition the states into communicating classes.
 
     Returns a :class:`DecompositionReport` with ``vertex_equilibria`` left
     unfilled.  A class is flagged closed when no structural edge leaves it.
     """
     sm = StochasticMatrix.coerce(p)
-    return _decompose(_structural_adjacency(sm, edge_threshold))
+    return _decompose(_structural_adjacency(sm))
 
 
 def _decompose(adj):
@@ -134,20 +131,12 @@ def _decompose(adj):
     return DecompositionReport(classes, closed_flags, transitory)
 
 
-def is_irreducible(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
+def is_irreducible(p):
     """True iff the whole state space is one communicating class."""
-    report = communicating_classes(p, edge_threshold=edge_threshold)
-    return len(report.classes) == 1
+    return len(communicating_classes(p).classes) == 1
 
 
-def _embed(vec, indices, n, mode):
-    out = np.array([Fraction(0)] * n, dtype=object) if mode == EXACT \
-        else np.zeros(n)
-    out[indices] = vec
-    return out
-
-
-def equilibrium_polytope(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
+def equilibrium_polytope(p):
     """Vertices of the polytope of stationary vectors.
 
     Each closed class, restricted to itself, is an irreducible stochastic
@@ -157,31 +146,33 @@ def equilibrium_polytope(p, *, edge_threshold=DEFAULT_EDGE_THRESHOLD):
     equilibrium yields a single vertex.
     """
     sm = StochasticMatrix.coerce(p)
-    report = communicating_classes(sm, edge_threshold=edge_threshold)
-    return _with_vertices(sm, report)
+    return _with_vertices(communicating_classes(sm), sm.p, sm._cleared)
 
 
-def _with_vertices(sm, report):
-    """``report``, the decomposition of ``sm``, with its vertex equilibria.
+def _with_vertices(report, p, cleared):
+    """``report``, the decomposition of a chain, with its vertex equilibria.
 
-    Each closed class is irreducible by construction, so the kernel runs
-    on its restriction with a one-class report and no second class pass.
-    An exact closed class keeps all of its row mass, so it slices its rows
-    out of the integers kept by ``sm`` with their row factors unchanged.
+    The chain comes as the kernel takes it: a float ``p``, or exact rows
+    ``cleared = (rows, factors)``.  A closed class is irreducible and keeps
+    all of its row mass, so its rows are sliced out, exact row factors
+    unchanged, and the kernel runs on them with a one-class report.
     """
     from .equilibrium import _kernel  # deferred; see module note below
 
+    n = sum(len(c) for c in report.classes)
     vertices = []
     for cls in report.closed_classes:
         one_class = DecompositionReport([list(range(len(cls)))], [True], [])
-        if sm.mode == EXACT:
-            rows, factors = sm._cleared
+        if cleared is None:
+            _, pi = _kernel(p[np.ix_(cls, cls)], None, one_class)
+            out = np.zeros(n)
+        else:
+            rows, factors = cleared
             sub = [[rows[i][j] for j in cls] for i in cls]
             _, pi = _kernel(None, (sub, [factors[i] for i in cls]), one_class)
-        else:
-            sub = StochasticMatrix(sm.p[np.ix_(cls, cls)], mode=sm.mode)
-            _, pi = _kernel(sub.p, None, one_class)
-        vertices.append(_embed(pi, cls, sm.n, sm.mode))
+            out = np.array([Fraction(0)] * n, dtype=object)
+        out[cls] = pi
+        vertices.append(out)
     return replace(report, vertex_equilibria=vertices)
 
 

@@ -7,6 +7,7 @@ echelon nullspace instead of minor weights or column replacement) so that
 agreement is meaningful.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,45 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(sub)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def in_tree_weights(rows):
+    """All ``n`` weights by the Markov chain tree theorem, by enumeration.
+
+    ``w_r`` is the sum, over the spanning trees directed into ``r``, of the
+    product of their edge weights ``rows[i][j]`` (the diagonal is never
+    read).  Every state but ``r`` picks one successor; the choice is such a
+    tree exactly when following successors from every state reaches ``r``.
+    With integer adjacency counts, ``w_r`` is the multiplicity-weighted
+    number of in-trees.  There are up to ``(n-1)^(n-1)`` choices per root,
+    so this is for ``n <= 5``.
+    """
+    n = len(rows)
+    weights = []
+    for root in range(n):
+        others = [i for i in range(n) if i != root]
+        choices = [[j for j in range(n) if j != i and rows[i][j]]
+                   for i in others]
+        total = 0
+        for successors in itertools.product(*choices):
+            succ = dict(zip(others, successors))
+            if all(_reaches(succ, i, root) for i in others):
+                term = 1
+                for i, j in succ.items():
+                    term *= rows[i][j]
+                total += term
+        weights.append(total)
+    return weights
+
+
+def _reaches(succ, i, root):
+    """Whether following ``succ`` from ``i`` reaches ``root``; a path in a
+    tree has fewer edges than there are states."""
+    for _ in range(len(succ)):
+        i = succ[i]
+        if i == root:
+            return True
+    return False
 
 
 def stationary_reference(rows):

@@ -273,13 +273,15 @@ def test_unknown_flag_exits_one(capsys):
 
 
 def test_edge_threshold_flag(tmp_path, capsys):
+    # a tiny float entry is an edge: one closed class, and no cutoff flag
     noise = 5e-15
     path = write(tmp_path, "m.txt",
                  f"{1 - noise!r} {noise!r}\n0.0 1.0\n")
     code, _, _ = run(capsys, "classes", path)
-    assert code == 2
-    code, _, _ = run(capsys, "classes", "--edge-threshold", "1e-16", path)
     assert code == 0
+    code, _, err = run(capsys, "classes", "--edge-threshold", "1e-16", path)
+    assert code == 1
+    assert "error" in err
 
 
 def test_weights_exit_code_comes_from_structure(tmp_path, capsys):
@@ -358,7 +360,7 @@ def test_ragged_json_matrix_rows_are_located(tmp_path, capsys, rows):
 
 @pytest.mark.parametrize("entry, shown", [
     ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
-    ('"a"', "'a'"), ("null", "None"),
+    ('"a"', "'a'"), ("null", "None"), ("true", "True"), ("false", "False"),
 ])
 def test_json_graph_entry_that_is_not_an_integer_is_located(
         tmp_path, capsys, entry, shown):

@@ -1,10 +1,12 @@
-"""Fuzzing of the CLI's JSON input path.
+"""Fuzzing of the CLI's input parsers.
 
-Documents are built from nested lists, ints, floats (NaN and infinities
-too), strings, booleans and null, and run through :func:`equilib.cli.main`
-in the same process.  Every outcome must be a result (exit 0 or 2) or a
-reported error (exit 1 with ``error: ...`` on stderr), never an uncaught
-exception.
+JSON documents are built from nested lists, ints, floats (NaN and
+infinities too), strings, booleans and null; text inputs are matrix rows
+and ``nodes N`` edge lists built from ints, rationals, decimals, junk,
+``#`` comments, commas and ragged lines.  Each is run through
+:func:`equilib.cli.main` in the same process.  Every outcome must be a
+result (exit 0 or 2) or a reported error (exit 1 with ``error: ...`` on
+stderr), never an uncaught exception.
 """
 
 import contextlib
@@ -67,6 +69,58 @@ commands = st.sampled_from([
 modes = st.sampled_from([[], ["--mode", "exact"], ["--mode", "float"]])
 
 
+# text tokens; exponents and node counts stay small, so no input asks for a
+# huge integer or a huge graph
+INT_TOKENS = ["0", "1", "2", "3", "-1", "+1", "10", "007"]
+TEXT_TOKENS = INT_TOKENS + [
+    "1/2", "1/3", "2/3", "3/2", "1/0", "-1/2", "0/5",
+    "0.5", ".25", "0.75", "1.", "1e-3", "5e-15", "1e999", "1e-400", "-0.5",
+    "x", "1//2", "nan", "inf", "1/2/3", "0x1", "--1", "½", "1,5",
+]
+separators = st.sampled_from([" ", "  ", ",", ", ", "\t", " , "])
+comments = st.sampled_from(["", "", " # note", "#", " # 1 2 3"])
+
+
+def text_line(tokens, min_size=0, max_size=4):
+    return st.builds(
+        lambda toks, sep, note: sep.join(toks) + note,
+        st.lists(tokens, min_size=min_size, max_size=max_size),
+        separators, comments)
+
+
+def joined(lines):
+    return st.lists(lines, max_size=5).map("\n".join)
+
+
+# square tables of valid rows, so that some matrices reach the commands
+VALID_TEXT_ROWS = {
+    2: ["1/2 1/2", "0.25 0.75", "1 0", "0 1", "1/3, 2/3"],
+    3: ["1/3 1/3 1/3", "0 0.5 0.5", "1 0 0", "0 0 1", "1/2,0,1/2"],
+}
+matrix_texts = st.one_of(
+    joined(text_line(st.sampled_from(TEXT_TOKENS), 1)),
+    st.sampled_from(sorted(VALID_TEXT_ROWS)).flatmap(
+        lambda n: st.lists(st.sampled_from(VALID_TEXT_ROWS[n]),
+                           min_size=n, max_size=n).map("\n".join)),
+)
+
+# in-range node indices come up more often, so that some edges are read
+edge_tokens = st.one_of(st.sampled_from(INT_TOKENS),
+                        st.sampled_from(["1", "2", "3"]),
+                        st.sampled_from(TEXT_TOKENS))
+graph_texts = st.builds(
+    lambda header, note, body: header + note + "\n" + body,
+    st.sampled_from(["nodes 1", "nodes 2", "nodes 3", "nodes 4", "NODES 2",
+                     "nodes 0", "nodes", "nodes x", "nodes -1", "nodes 2 3",
+                     "# nodes 2"]),
+    comments,
+    joined(text_line(edge_tokens, 1)),
+)
+
+formats = st.sampled_from([[], ["--format", "auto"], ["--format", "matrix"],
+                           ["--format", "graph"]])
+
+
 def run_in_process(argv, text):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
@@ -85,9 +139,23 @@ def run_in_process(argv, text):
 def test_json_documents_give_a_result_or_a_located_error(doc, command, mode):
     text = json.dumps(doc, allow_nan=True)
     code, out, err = run_in_process(command + ["-"] + mode, text)
+    assert_result_or_located_error(code, out, err)
+
+
+def assert_result_or_located_error(code, out, err):
     assert code in (0, 1, 2)
     if code == 1:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(matrix_texts, graph_texts), command=commands,
+       mode=modes, fmt=formats)
+def test_text_inputs_give_a_result_or_a_located_error(text, command, mode,
+                                                      fmt):
+    code, out, err = run_in_process(command + ["-"] + mode + fmt, text)
+    assert_result_or_located_error(code, out, err)

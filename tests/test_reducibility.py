@@ -175,16 +175,17 @@ def test_transitory_states_carry_no_mass():
             assert v[i] == 0
 
 
-# --- float edge threshold -----------------------------------------------------
+# --- float structure -----------------------------------------------------------
 
 def test_edge_threshold_separates_noise_from_structure():
+    # every nonzero float entry is an edge, however small
     noise = 5e-15
     rows = np.array([[1.0 - noise, noise], [0.0, 1.0]])
     rows = rows / rows.sum(axis=1, keepdims=True)
     report = communicating_classes(rows)
-    assert report.closed_flags == [True, True]
-    report = communicating_classes(rows, edge_threshold=1e-16)
     assert report.closed_flags == [False, True]
+    with pytest.raises(TypeError):
+        communicating_classes(rows, edge_threshold=1e-16)
 
 
 def test_float_block_structure_detected():

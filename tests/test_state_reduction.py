@@ -1,7 +1,8 @@
 """Oracle tests for the state-reduction weight kernel.
 
 Every reference here is computed by code the kernel does not use: principal
-minors by ``int_determinant`` (plain Bareiss on each deleted matrix), the
+minors by ``int_determinant`` (plain Bareiss on each deleted matrix) and by
+enumerating spanning in-trees (the Markov chain tree theorem), the
 stationary vector by the reduced-row-echelon nullspace in ``support``, and
 closed-form answers such as the uniform vector of a cycle.
 """
@@ -24,6 +25,7 @@ from equilib import (
 )
 from support import (
     direct_sum,
+    in_tree_weights,
     make_rng,
     random_connected_undirected,
     random_stochastic_rows,
@@ -32,6 +34,7 @@ from support import (
     stationary_reference,
     with_transitory,
 )
+from equilib.cli import main
 
 F = Fraction
 
@@ -90,6 +93,42 @@ def test_relative_probability_is_a_ratio_of_minors():
     w = minors_by_deletion(rows)
     for i, j in ((0, 5), (3, 1), (2, 2)):
         assert relative_probability(rows, i, j) == w[i] / w[j]
+
+
+# --- the Markov chain tree theorem, by enumeration ---------------------------
+
+@pytest.mark.parametrize("style", ["dense", "sparse", "reducible"])
+def test_exact_weights_equal_in_tree_sums(style):
+    rng = make_rng({"dense": 311, "sparse": 312, "reducible": 313}[style])
+    for _ in range(40):
+        if style == "reducible":
+            rows = random_structured_rows(rng, max_n=5)
+        else:
+            rows = random_stochastic_rows(
+                rng, rng.randint(1, 5), 6 if style == "sparse" else 12,
+                strictly_positive=style == "dense")
+        assert list(minor_weights(rows)) == in_tree_weights(rows)
+
+
+def random_adjacency(rng, n):
+    """Adjacency counts with every out-degree positive; often reducible."""
+    a = [[rng.choice([0, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
+    for row in a:
+        if not any(row):
+            row[rng.randrange(n)] = rng.randint(1, 3)
+    return a
+
+
+def test_graph_numerators_count_in_trees():
+    rng = make_rng(314)
+    degenerate = 0
+    for _ in range(60):
+        adj = random_adjacency(rng, rng.randint(1, 5))
+        ge = graph_stationary(Graph(adj))
+        trees = in_tree_weights(adj)
+        assert ge.numerators == [sum(row) * t for row, t in zip(adj, trees)]
+        degenerate += not ge.unique
+    assert degenerate > 0
 
 
 # --- graph walks: numerators from the integer Laplacian ----------------------
@@ -195,14 +234,31 @@ def exact_rows_of(p):
     return rows
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize(
+    "eps", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-100, 1e-300])
 def test_eps_coupled_blocks_keep_relative_accuracy(eps):
+    # every nonzero coupling is an edge, so the chain is irreducible however
+    # small it is, as long as it is a normal float
     p = eps_coupled(eps)
     res = stationary(p)
     assert res.unique
     ref = stationary_reference(exact_rows_of(p))
     rel = max(abs(F(float(x)) - r) / r for x, r in zip(res.pi, ref))
     assert rel <= 1e-9
+
+
+def test_subnormal_coupling_asks_for_exact_mode(tmp_path, capsys):
+    # a subnormal coupling is still an edge, but its rate is below the
+    # smallest normal float, so the float kernel refuses the chain
+    p = eps_coupled(5e-310)
+    assert np.count_nonzero(p[0, 8:]) == 1
+    with pytest.raises(ValueError, match="exact mode"):
+        stationary(p)
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(" ".join(repr(float(x)) for x in row)
+                              for row in p))
+    assert main(["stationary", str(path)]) == 1
+    assert "exact mode" in capsys.readouterr().err
 
 
 def birth_death(n, up, down):

@@ -145,6 +145,7 @@ def test_closed_classes_get_no_second_class_pass(monkeypatch):
 @pytest.mark.parametrize("bad, shown", [
     (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
     ("a", "'a'"), (None, "None"), (1.5, "1.5"), ([1], "[1]"),
+    (True, "True"), (False, "False"),
 ])
 def test_graph_entries_that_are_not_integers_are_located(bad, shown):
     with pytest.raises(ValueError, match=_exactly(
@@ -156,7 +157,7 @@ def test_graph_accepts_integral_floats_and_numpy_integers():
     g = Graph(np.array([[0.0, 2.0], [1.0, 0.0]]))
     assert g.adjacency == [[0, 2], [1, 0]]
     assert all(type(x) is int for row in g.adjacency for x in row)
-    g = Graph([[np.int64(0), np.int32(3)], [True, 0]])
+    g = Graph([[np.int64(0), np.int32(3)], [np.int8(1), 0]])
     assert g.adjacency == [[0, 3], [1, 0]]
 
 
