@@ -12,7 +12,6 @@ from .matrix_core import (
     FLOAT,
     StochasticMatrix,
     adjugate,
-    as_exact_array,
     as_float_array,
     clear_denominators,
     determinant,
@@ -29,6 +28,7 @@ from .equilibrium import (
     closed_form_3,
     closed_form_4,
     closed_form_5,
+    equilibrium_polytope,
     matrix_from_bands,
     minor_weights,
     relative_probability,
@@ -37,9 +37,7 @@ from .equilibrium import (
 )
 from .reducibility import (
     DecompositionReport,
-    InconsistentDecompositionError,
     communicating_classes,
-    equilibrium_polytope,
     is_irreducible,
 )
 from .graph_walk import (
@@ -65,7 +63,6 @@ __all__ = [
     "FLOAT",
     "StochasticMatrix",
     "adjugate",
-    "as_exact_array",
     "as_float_array",
     "clear_denominators",
     "determinant",
@@ -86,7 +83,6 @@ __all__ = [
     "stationary",
     "verify_equilibrium",
     "DecompositionReport",
-    "InconsistentDecompositionError",
     "communicating_classes",
     "equilibrium_polytope",
     "is_irreducible",

@@ -28,13 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import EXACT, FLOAT, StochasticMatrix
+from .reducibility import communicating_classes
 from .equilibrium import (
     _weights,
+    equilibrium_polytope,
     relative_probability,
     stationary,
     verify_equilibrium,
 )
-from .reducibility import communicating_classes, equilibrium_polytope
 from .graph_walk import Graph, ZeroOutDegreeError, graph_stationary, walk_matrix
 from .oracle import (
     SingularSystemError,
@@ -395,7 +396,7 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    w, pi, _ = _weights(_working_matrix(doc, args))
+    w, pi, _ = _weights(*_working_matrix(doc, args)._chain)
     total = w.sum()
     payload = {"kind": "weights", "mode": doc.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
@@ -434,10 +435,8 @@ def _cmd_ratio(doc, args):
 def _cmd_verify(doc, args):
     text = _read_source(args.pi_file)
     pi = _parse_vector(text)
-    sm = _working_matrix(doc, args)
-    if sm.mode == EXACT and any(isinstance(x, float) for x in pi):
-        sm = sm.to_float()
-    residual = verify_equilibrium(np.array(pi, dtype=object), sm)
+    residual = verify_equilibrium(np.array(pi, dtype=object),
+                                  _working_matrix(doc, args))
     payload = {"kind": "verify", "residual": _json_scalar(residual)}
     _emit(args, [f"residual = {_fmt_scalar(residual)}"], payload)
     return 0

@@ -12,6 +12,13 @@ its pivots is ``w_r`` for a root ``r`` and back-substitution gives every
 ``w_i = w_r * x_i``.  Float ``pi`` is normalized from ``x``, so it keeps
 entrywise relative accuracy where the weights underflow.
 
+Every chain reaches that pass as ``(rows, factors)``: a float matrix as
+``(p, None)``, an exact one as its integer-cleared rows and their lcm
+factors, a graph as its adjacency and out-degrees.  One solve path runs the
+class pass, the kernel and, for several closed classes, the polytope
+vertices, one kernel run per closed class; only the kernel, slicing the
+rows in and giving Fractions or floats out, depends on the scalar field.
+
 The closed-form functions for 2..5 states evaluate the same weights from
 explicit formulas in the banded parameterization (see
 :func:`matrix_from_bands`) and exist chiefly as independent cross-checks of
@@ -19,7 +26,7 @@ the general minor construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,11 +38,7 @@ from .matrix_core import (
     StochasticMatrix,
     determinant,
 )
-from .reducibility import (
-    DecompositionReport,
-    _with_vertices,
-    communicating_classes,
-)
+from .reducibility import DecompositionReport, _classes
 
 
 @dataclass
@@ -63,36 +66,27 @@ class EquilibriumResult:
         return self.pi is not None
 
 
-def _as_stochastic(p, mode=None):
-    return StochasticMatrix.coerce(p, mode)
-
-
-def _state_reduction(q, report):
+def _state_reduction(q, n_transitory, order):
     """Principal minors of the Laplacian of a rate matrix, by one GTH pass.
 
     ``q`` holds nonnegative rates, Python ints in an object array (exact)
     or float64; its diagonal is never read.  Its Laplacian is ``I - P`` for
-    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  ``report`` is
-    the class decomposition of ``q``'s digraph.  Returns ``(minors, x)``,
-    ``x`` proportional to the minors, or zero minors and ``x = None`` when
-    there are several closed classes.  The transitory states are eliminated
+    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  Its rows and
+    columns are the states ``order``: ``n_transitory`` transitory ones,
+    then one closed class.  Returns ``(minors, x)`` in that order, ``x``
+    proportional to the minors.  The transitory states are eliminated
     first, then all of the closed class but a root ``r``; a pivot is the sum
     of its state's remaining rates, so nothing is subtracted.  Exact mode is
     fraction-free: each update divides exactly by the previous pivot, the
     last pivot is the minor at ``r`` and ``x`` is the integer minors.  Float
     mode next eliminates a state whose remaining rate is at least half the
     largest, keeping the heavy states to the end so that no pivot
-    underflows on a drifting chain; ``x`` is scaled by powers of two to
-    ``max(x) <= 1``, and the minors are the pivot product times ``x``,
-    which may underflow where ``x`` does not.
+    underflows on a drifting chain (it swaps ``q`` and ``order`` in place);
+    ``x`` is scaled by powers of two to ``max(x) <= 1``, and the minors are
+    the pivot product times ``x``, which may underflow where ``x`` does not.
     """
     n = q.shape[0]
     exact = q.dtype == object
-    if report.n_closed > 1:
-        return np.zeros(n, dtype=q.dtype), None
-    n_transitory = len(report.transitory_states)
-    order = report.transitory_states + report.closed_classes[0]
-    q = q[np.ix_(order, order)]
     if not exact:
         np.fill_diagonal(q, 0.0)
         rates = q.sum(axis=1)
@@ -132,44 +126,81 @@ def _state_reduction(q, report):
             e = math.frexp(x[k])[1]
             x[k:] = np.ldexp(x[k:], -e)
             shift += e
-    out = np.empty_like(x)
-    out[order] = x
     if exact:
-        return out, out
+        return x, x
     # the pivot product, its binary exponents summed apart from the mantissas
     m, e = np.frexp(pivots)
-    return np.ldexp(np.prod(m) * out, int(e.sum()) + shift), out
+    return np.ldexp(np.prod(m) * x, int(e.sum()) + shift), x
 
 
-def _kernel(p, cleared, report):
-    """``(weights, pi)`` of a chain with class decomposition ``report``;
-    ``pi`` is ``None`` when there are several closed classes.
+def _kernel(rows, factors, report):
+    """``(weights, pi)`` of the chain ``(rows, factors)`` with class
+    decomposition ``report``; ``pi`` is ``None`` when there are several
+    closed classes.  Under a one-class report of one closed class the
+    kernel solves that class as a chain of its own, zero elsewhere.
 
-    A float chain passes its matrix ``p`` and ``cleared=None``.  An exact
-    chain passes ``cleared = (rows, factors)``: ``P``'s rows scaled to
-    integers by ``f_i``, which scales minor ``i`` by ``prod(f) / f_i``.
+    A float chain is ``(p, None)``.  Otherwise ``rows`` are integers, ``P``'s
+    rows scaled by factors ``f_i``, which scales minor ``i`` by
+    ``prod(f) / f_i``: the cleared rows of an exact matrix, or a graph's
+    adjacency with its out-degrees.
     """
-    if cleared is None:
-        w, x = _state_reduction(p, report)
-        return w, None if x is None else x / x.sum()
-    rows, factors = cleared
-    minors, x = _state_reduction(np.array(rows, dtype=object), report)
-    scaled = [m * f for m, f in zip(minors, factors)]
-    prod_f = math.prod(factors)
-    w = np.array([Fraction(s, prod_f) for s in scaled], dtype=object)
-    if x is None:
+    exact = factors is not None
+    w = np.full(len(rows), Fraction(0) if exact else 0.0)
+    if report.n_closed > 1:
         return w, None
-    total = sum(scaled)
-    return w, np.array([Fraction(s, total) for s in scaled], dtype=object)
+    order = report.transitory_states + report.closed_classes[0]
+    if exact:
+        q = np.array([[rows[i][j] for j in order] for i in order],
+                     dtype=object)
+    else:
+        q = rows[np.ix_(order, order)]
+    minors, x = _state_reduction(q, len(report.transitory_states), order)
+    pi = w.copy()
+    if exact:
+        scaled = [m * factors[i] for m, i in zip(minors, order)]
+        prod_f = math.prod(factors[i] for i in order)
+        w[order] = [Fraction(s, prod_f) for s in scaled]
+        total = sum(scaled)
+        pi[order] = [Fraction(s, total) for s in scaled]
+    else:
+        order = np.array(order)
+        w[order] = minors
+        pi[order] = x
+        # summed in index order, as numpy sums a chain of these states alone
+        order.sort()
+        pi /= pi[order].sum()
+    return w, pi
 
 
-def _weights(sm):
-    """``(weights, pi, report)`` of a chain: ``pi`` is ``None`` when the
-    class decomposition ``report`` has several closed classes.  Exact
-    chains use the integer rows kept by their validation.
+def _with_vertices(report, rows, factors):
+    """``report``, the decomposition of the chain ``(rows, factors)``, with
+    its vertex equilibria.
+
+    A closed class is irreducible and keeps all of its row mass, so its
+    vertex is the kernel's ``pi`` under a one-class report of the class
+    alone, zero elsewhere; the class pass does not run again.
     """
-    report = communicating_classes(sm)
-    return (*_kernel(sm.p, sm._cleared, report), report)
+    return replace(report, vertex_equilibria=[
+        _kernel(rows, factors, DecompositionReport([cls], [True], []))[1]
+        for cls in report.closed_classes])
+
+
+def _weights(rows, factors):
+    """``(weights, pi, report)`` of the chain ``(rows, factors)``: the class
+    pass, then the kernel; ``pi`` is ``None`` when the class decomposition
+    ``report`` has several closed classes.
+    """
+    report = _classes(rows)
+    return (*_kernel(rows, factors, report), report)
+
+
+def _solve(rows, factors):
+    """The :class:`EquilibriumResult` of the chain ``(rows, factors)``."""
+    w, pi, report = _weights(rows, factors)
+    if pi is None:
+        return EquilibriumResult(
+            weights=w, decomposition=_with_vertices(report, rows, factors))
+    return EquilibriumResult(weights=w, pi=pi)
 
 
 def minor_weights(p):
@@ -180,7 +211,20 @@ def minor_weights(p):
     they are diagnostics, and :func:`stationary` does not derive ``pi``
     from them.
     """
-    return _weights(_as_stochastic(p))[0]
+    return _weights(*StochasticMatrix.coerce(p)._chain)[0]
+
+
+def equilibrium_polytope(p):
+    """Vertices of the polytope of stationary vectors.
+
+    Each closed class, restricted to itself, is an irreducible stochastic
+    matrix with a unique equilibrium; embedding those back into the full
+    state space (zeros elsewhere) gives the vertex set whose convex hull is
+    the complete solution set of ``pi @ P == pi``.  A chain with a unique
+    equilibrium yields a single vertex.
+    """
+    rows, factors = StochasticMatrix.coerce(p)._chain
+    return _with_vertices(_classes(rows), rows, factors)
 
 
 def _closed_form_result(w, bands, mode):
@@ -188,12 +232,12 @@ def _closed_form_result(w, bands, mode):
     # exact weights all vanish exactly when there are several closed classes
     if mode == EXACT and total != 0:
         return EquilibriumResult(weights=w, pi=w / total)
-    sm = matrix_from_bands(bands, mode)
-    report = communicating_classes(sm)
+    rows, factors = matrix_from_bands(bands, mode)._chain
+    report = _classes(rows)
     if report.n_closed == 1:
         return EquilibriumResult(weights=w, pi=w / total)
     return EquilibriumResult(
-        weights=w, decomposition=_with_vertices(report, sm.p, sm._cleared))
+        weights=w, decomposition=_with_vertices(report, rows, factors))
 
 
 def stationary(p):
@@ -211,21 +255,21 @@ def stationary(p):
         degeneracy report with the closed classes and all vertex
         equilibria.  Degeneracy is a result, not an error.
     """
-    sm = _as_stochastic(p)
-    w, pi, report = _weights(sm)
-    if pi is None:
-        return EquilibriumResult(
-            weights=w, decomposition=_with_vertices(report, sm.p, sm._cleared))
-    return EquilibriumResult(weights=w, pi=pi)
+    return _solve(*StochasticMatrix.coerce(p)._chain)
 
 
 def relative_probability(p, i, j):
     """The stationary ratio ``pi_i / pi_j``, equal to ``w_i / w_j``.
 
+    Indices are 0-based; one outside ``0..n-1`` raises ``ValueError``.
     Raises ``ZeroDivisionError`` when state ``j`` has a vanishing weight
     (zero stationary mass or a degenerate chain).
     """
-    _, pi, _ = _weights(_as_stochastic(p))
+    rows, factors = StochasticMatrix.coerce(p)._chain
+    for k in (i, j):
+        if not 0 <= k < len(rows):
+            raise ValueError(f"state index {k} outside 0..{len(rows) - 1}")
+    _, pi, _ = _weights(rows, factors)
     if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
             f"state {j} has zero minor weight; ratio undefined")
@@ -238,7 +282,7 @@ def verify_equilibrium(pi, p):
     Exact mode returns the exact rational residual (0 for a true stationary
     vector).  Mixed modes are compared in float.
     """
-    sm = _as_stochastic(p)
+    sm = StochasticMatrix.coerce(p)
     v = np.asarray(pi, dtype=object if sm.mode == EXACT else float)
     if v.ndim != 1 or v.shape[0] != sm.n:
         raise ValueError(

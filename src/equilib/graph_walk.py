@@ -7,8 +7,8 @@ taken from the integer matrix ``D - A`` instead of the rational ``I - P``:
     pi_i  proportional to  d_i * principal_minor(D - A, i)
 
 The adjacency rows are ``P``'s rows cleared of denominators by the row
-factors ``d_i``, so all ``n`` minors come from the same kernel as
-:func:`~equilib.equilibrium.minor_weights`: one fraction-free
+factors ``d_i``, so the walk takes the same solve path as
+:func:`~equilib.equilibrium.stationary`: one fraction-free
 state-reduction pass over the adjacency counts, O(n^3) integer operations.
 Every numerator and the common denominator are integers; the only division
 happens once, at the very end.
@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import StochasticMatrix, _square_rows
-from .equilibrium import EquilibriumResult, _kernel
-from .reducibility import _decompose, _with_vertices
+from .equilibrium import EquilibriumResult, _solve
 
 
 class ZeroOutDegreeError(ValueError):
@@ -76,14 +75,26 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build from ``(i, j)`` or ``(i, j, multiplicity)`` tuples, 0-based."""
-        a = [[0] * n for _ in range(n)]
+        """Build from ``(i, j)`` or ``(i, j, multiplicity)`` tuples, 0-based.
+
+        Ranges, summed multiplicities and out-degrees are checked on the
+        edge list, so a bad one fails before the ``n x n`` matrix is built;
+        a node without outgoing edges raises :class:`ZeroOutDegreeError`.
+        """
+        counts = {}
         for edge in edges:
             i, j, *rest = edge
-            m = rest[0] if rest else 1
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            a[i][j] += int(m)
+            counts[i, j] = counts.get((i, j), 0) + int(rest[0] if rest else 1)
+        degrees = [0] * n
+        for (i, j), m in sorted(counts.items()):  # row-major, as Graph checks
+            degrees[i] += _edge_count(m, i, j)
+        if 0 in degrees:
+            raise ZeroOutDegreeError(degrees.index(0))
+        a = [[0] * n for _ in range(n)]
+        for (i, j), m in counts.items():
+            a[i][j] = m
         return cls(a)
 
     def __repr__(self):
@@ -139,17 +150,10 @@ def graph_stationary(g):
         :class:`~equilib.equilibrium.EquilibriumResult`, whose weights are
         the exact minor weights of the walk matrix.
     """
-    cleared = (g.adjacency, degree_vector(g))
-    report = _decompose([[j for j, m in enumerate(row) if m]
-                         for row in g.adjacency])
-    weights, pi = _kernel(None, cleared, report)
-    prod_d = math.prod(cleared[1])
+    degrees = degree_vector(g)
+    result = _solve(g.adjacency, degrees)
+    prod_d = math.prod(degrees)
     # w_i * prod(d), without a second gcd: each denominator divides prod(d)
-    numerators = [w.numerator * (prod_d // w.denominator) for w in weights]
-    if pi is not None:
-        result = EquilibriumResult(weights=weights, pi=pi)
-    else:
-        result = EquilibriumResult(
-            weights=weights,
-            decomposition=_with_vertices(report, None, cleared))
+    numerators = [w.numerator * (prod_d // w.denominator)
+                  for w in result.weights]
     return GraphEquilibrium(numerators, sum(numerators), result)

@@ -52,15 +52,6 @@ def _to_fraction(x, infer=False):
     return Fraction(x)
 
 
-def as_exact_array(data):
-    """Coerce to an object-dtype ndarray of Fractions."""
-    a = np.asarray(data, dtype=object)
-    out = np.empty(a.shape, dtype=object)
-    for idx, x in np.ndenumerate(a):
-        out[idx] = _to_fraction(x)
-    return out
-
-
 def as_float_array(data):
     """Coerce to a float64 ndarray."""
     return np.asarray(data).astype(float)
@@ -324,6 +315,8 @@ class StochasticMatrix:
     An exact matrix also keeps ``_cleared = (rows, factors)`` from its
     validation: ``rows[i]`` is ``p[i]`` times ``factors[i]``, the lcm of the
     row's denominators, as Python ints.  Float matrices keep ``None``.
+    ``_chain`` is the matrix in the form the class pass and the weight
+    kernel take: ``_cleared``, or ``(p, None)`` for a float matrix.
     """
 
     def __init__(self, rows, mode=None):
@@ -363,6 +356,10 @@ class StochasticMatrix:
             self.mode = FLOAT
         self.p = p
         self.n = n
+
+    @property
+    def _chain(self):
+        return self._cleared or (self.p, None)
 
     @classmethod
     def coerce(cls, obj, mode=None):

@@ -1,29 +1,19 @@
-"""Combinatorial structure of a chain: communicating classes and, when the
-equilibrium is not unique, the vertices of the polytope of equilibria.
+"""Combinatorial structure of a chain: its communicating classes.
 
 States communicate when each is reachable from the other through edges
 ``i -> j`` with ``p_ij`` nonzero, in both scalar modes: which minors vanish
 is decided by the nonzero pattern alone (Markov chain tree theorem), not by
 a float tolerance.  A class is closed when no edge leaves it; states in
-non-closed classes are transitory and carry no stationary mass.
+non-closed classes are transitory and carry no stationary mass.  The weight
+kernel and the polytope vertices built on this structure live in
+:mod:`equilib.equilibrium`.
 """
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import EXACT, StochasticMatrix
-
-
-class InconsistentDecompositionError(RuntimeError):
-    """A closed-class restriction failed to produce a unique equilibrium.
-
-    This cannot happen for a genuine communicating class.  Each closed
-    class is solved with a one-class report, which always gives a unique
-    equilibrium, so nothing in the package raises it; it stays importable
-    for callers that catch it.
-    """
+from .matrix_core import StochasticMatrix
 
 
 @dataclass
@@ -33,7 +23,8 @@ class DecompositionReport:
     ``classes`` partitions the states (0-based indices, each class sorted,
     classes ordered by their smallest state).  ``vertex_equilibria`` holds
     one stationary vector per closed class, supported exactly on that
-    class; it is ``None`` until filled by :func:`equilibrium_polytope`.
+    class; it is ``None`` until filled by
+    :func:`~equilib.equilibrium.equilibrium_polytope`.
     """
 
     classes: list = field(default_factory=list)
@@ -50,11 +41,15 @@ class DecompositionReport:
         return sum(self.closed_flags)
 
 
-def _structural_adjacency(sm):
-    """Neighbor lists of the transition digraph (self-loops included)."""
-    if sm.mode == EXACT:
-        return [[j for j, v in enumerate(row) if v] for row in sm._cleared[0]]
-    return [np.flatnonzero(row).tolist() for row in sm.p != 0]
+def _classes(rows):
+    """The class pass: the decomposition of the digraph of ``rows``' nonzero
+    entries (self-loops included).  ``rows`` are the chain in the kernel's
+    form, a float ndarray or lists of integers; the factors that go with
+    them never change which entries are nonzero.
+    """
+    if isinstance(rows, np.ndarray):
+        return _decompose([np.flatnonzero(row).tolist() for row in rows != 0])
+    return _decompose([[j for j, v in enumerate(row) if v] for row in rows])
 
 
 def _strongly_connected_components(adj):
@@ -114,8 +109,7 @@ def communicating_classes(p):
     Returns a :class:`DecompositionReport` with ``vertex_equilibria`` left
     unfilled.  A class is flagged closed when no structural edge leaves it.
     """
-    sm = StochasticMatrix.coerce(p)
-    return _decompose(_structural_adjacency(sm))
+    return _classes(StochasticMatrix.coerce(p)._chain[0])
 
 
 def _decompose(adj):
@@ -134,48 +128,3 @@ def _decompose(adj):
 def is_irreducible(p):
     """True iff the whole state space is one communicating class."""
     return len(communicating_classes(p).classes) == 1
-
-
-def equilibrium_polytope(p):
-    """Vertices of the polytope of stationary vectors.
-
-    Each closed class, restricted to itself, is an irreducible stochastic
-    matrix with a unique equilibrium; embedding those back into the full
-    state space (zeros elsewhere) gives the vertex set whose convex hull is
-    the complete solution set of ``pi @ P == pi``.  A chain with a unique
-    equilibrium yields a single vertex.
-    """
-    sm = StochasticMatrix.coerce(p)
-    return _with_vertices(communicating_classes(sm), sm.p, sm._cleared)
-
-
-def _with_vertices(report, p, cleared):
-    """``report``, the decomposition of a chain, with its vertex equilibria.
-
-    The chain comes as the kernel takes it: a float ``p``, or exact rows
-    ``cleared = (rows, factors)``.  A closed class is irreducible and keeps
-    all of its row mass, so its rows are sliced out, exact row factors
-    unchanged, and the kernel runs on them with a one-class report.
-    """
-    from .equilibrium import _kernel  # deferred; see module note below
-
-    n = sum(len(c) for c in report.classes)
-    vertices = []
-    for cls in report.closed_classes:
-        one_class = DecompositionReport([list(range(len(cls)))], [True], [])
-        if cleared is None:
-            _, pi = _kernel(p[np.ix_(cls, cls)], None, one_class)
-            out = np.zeros(n)
-        else:
-            rows, factors = cleared
-            sub = [[rows[i][j] for j in cls] for i in cls]
-            _, pi = _kernel(None, (sub, [factors[i] for i in cls]), one_class)
-            out = np.array([Fraction(0)] * n, dtype=object)
-        out[cls] = pi
-        vertices.append(out)
-    return replace(report, vertex_equilibria=vertices)
-
-
-# equilibrium.stationary reports degeneracy through this module while the
-# vertices need its weight kernel for each closed class; the import above is
-# deferred to keep module loading acyclic.

@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from equilib import StochasticMatrix, verify_equilibrium
 from equilib.cli import main, parse_input, ParseError
 
 F = Fraction
@@ -261,6 +268,30 @@ def test_zero_out_degree_reported_one_based(tmp_path, capsys):
     assert "node 2" in err
 
 
+def test_sink_in_a_huge_edge_list_is_reported_before_the_dense_matrix(
+        tmp_path):
+    # the dense 10^6 x 10^6 adjacency would take terabytes: the address-space
+    # cap turns a regression into a MemoryError instead of starving the host
+    path = write(tmp_path, "g.txt", "nodes 1000000\n1 2\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "equilib.cli", "stationary", path], env=env,
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: node 2 has no outgoing edges; "
+                           "the random walk is undefined\n")
+    # the whole process, interpreter and numpy start-up included
+    assert time.perf_counter() - start < 3.0
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -335,6 +366,21 @@ def test_verify_rejects_non_finite_json_entries(tmp_path, capsys):
     code, _, err = run(capsys, "verify", pi_file, matrix)
     assert code == 1
     assert "error: vector entry 1 is not finite" in err
+
+
+def test_verify_decimal_vector_against_exact_chain_is_float(tmp_path,
+                                                            capsys):
+    matrix = write(tmp_path, "m.txt", "1/2 1/2\n1/3 2/3\n")
+    pi_file = write(tmp_path, "pi.txt", "2/5 0.6\n")
+    expected = verify_equilibrium(
+        [0.4, 0.6], StochasticMatrix([[0.5, 0.5], [1 / 3, 2 / 3]]))
+    code, out, _ = run(capsys, "verify", pi_file, matrix)
+    assert code == 0
+    assert out == f"residual = {expected:.6g}\n"
+    code, out, _ = run(capsys, "verify", "--json", pi_file, matrix)
+    assert code == 0
+    residual = json.loads(out)["residual"]
+    assert type(residual) is float and residual == expected
 
 
 def test_json_matrix_row_that_is_not_a_list_is_located(tmp_path, capsys):

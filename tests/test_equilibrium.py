@@ -183,6 +183,17 @@ def test_relative_probability_zero_weight_raises():
         relative_probability(sm, 0, 2)
 
 
+@pytest.mark.parametrize("i, j, bad", [(-1, 0, -1), (0, -1, -1), (5, 0, 5),
+                                       (0, 3, 3)])
+def test_relative_probability_rejects_indices_outside_the_chain(i, j, bad):
+    rows = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)],
+            [F(1, 5), F(2, 5), F(2, 5)]]
+    for chain in (rows, np.array(rows, dtype=float)):
+        with pytest.raises(ValueError,
+                           match=rf"^state index {bad} outside 0\.\.2$"):
+            relative_probability(chain, i, j)
+
+
 # --- verify_equilibrium ---------------------------------------------------------
 
 def test_verify_exact_stationary_residual_is_zero():

@@ -1,0 +1,66 @@
+"""Module layering of the package, read from its source with ``ast``.
+
+Every import sits at module level, so the import graph is what loading the
+package does, and that graph is acyclic: matrix_core, reducibility,
+equilibrium, graph_walk, then cli, with oracle on matrix_core alone.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equilib"
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    """Package modules that ``tree`` imports, at any depth."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = ([node.module.split(".")[0]] if node.module
+                     else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").startswith("equilib."):
+            names = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names
+                     if alias.name.startswith("equilib.")]
+        else:
+            continue
+        out.update(name for name in names if name in MODULES)
+    return out
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{name}.{fn.name}, line {node.lineno}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {name: _imported_modules(tree) for name, tree in MODULES.items()}
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(
+                "import cycle: " + " -> ".join(path[path.index(name):]
+                                               + [name]))
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    # the class structure sits below the kernel that uses it
+    assert graph["reducibility"] == {"matrix_core"}
