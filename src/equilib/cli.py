@@ -17,12 +17,12 @@ chain, 1 for errors.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +47,11 @@ from .oracle import (
 MODE_ENV_VAR = "EQUILIB_MODE"
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
-_RATIONAL_RE = re.compile(r"[+-]?\d+/\d+\Z")
-_DECIMAL_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
+# the one literal grammar: an integer, a rational a/b with b != 0, or a
+# decimal (group 1) with an optional exponent; no two digit runs may meet,
+# so a long malformed token fails in linear time
+_LITERAL_RE = re.compile(r"[+-]?(?:\d+(?:/0*[1-9]\d*)?"
+                         r"|((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?))\Z")
 
 
 class ParseError(ValueError):
@@ -69,25 +72,85 @@ class InputDocument:
         return self.matrix
 
 
-def _fraction_from_text(token):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(token))
-    except (InvalidOperation, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(token) from exc
+def _literal(x):
+    """Whether an input entry is a decimal; ``None`` when it is malformed.
 
-
-def _classify(token):
-    if _INT_RE.match(token):
-        return "int"
-    if _RATIONAL_RE.match(token):
-        return "rational"
-    if _DECIMAL_RE.match(token):
-        return "decimal"
+    An entry is a string in the literal grammar or a JSON number (not a
+    boolean).  A decimal string or a JSON float makes a document float.
+    """
+    if isinstance(x, str):
+        m = _LITERAL_RE.match(x)
+        return None if m is None else m[1] is not None
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return isinstance(x, float)
     return None
+
+
+def _value(x, mode):
+    """An entry accepted by :func:`_literal` as a scalar of ``mode``.
+
+    A JSON number stays as it is in exact mode.  ``float()`` reads a
+    decimal string, rounding as the exact value would, without building
+    it.  An exact literal's length plus its exponent may not pass the digit
+    limit of int literals, ``sys.get_int_max_str_digits()``, so
+    ``1e100000000`` fails at once.
+    """
+    if isinstance(x, str) and (mode == EXACT or "/" in x):
+        limit = sys.get_int_max_str_digits() or math.inf
+        exponent = x.lower().partition("e")[2]
+        if len(x) > limit or exponent and len(x) + abs(int(exponent)) > limit:
+            raise ParseError(f"exceeds the {limit}-digit limit")
+        x = Fraction(x)
+    if mode == EXACT or isinstance(x, float):
+        return x
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ParseError("overflows a float")
+    return value
+
+
+def _scalar(x, mode, what):
+    """A single literal as a scalar of ``mode``, named ``what`` in messages.
+
+    With ``mode`` ``None``, a decimal is read as a float and the rest exactly.
+    """
+    decimal = _literal(x)
+    if decimal is None:
+        raise ParseError(f"malformed {what} {x!r}")
+    try:
+        return _value(x, mode or (FLOAT if decimal else EXACT))
+    except ParseError as exc:
+        raise ParseError(f"malformed {what} {x!r}: {exc}") from None
+
+
+def _any_decimal(rows, where):
+    """Whether an entry is a decimal; ``where(r, c)`` names a malformed one."""
+    flags = [[_literal(x) for x in row] for row in rows]
+    for r, row in enumerate(flags, start=1):
+        if None in row:
+            c = row.index(None) + 1
+            raise ParseError(
+                f"{where(r, c)}: malformed literal {rows[r - 1][c - 1]!r}")
+    return any(any(row) for row in flags)
+
+
+def _stochastic(rows, decimal, mode, where):
+    """The matrix of ``rows`` of entries, float if ``mode`` is ``None`` and
+    ``decimal`` (an entry is a decimal)."""
+    mode = mode or (FLOAT if decimal else EXACT)
+
+    def value(r, c, x):
+        try:
+            return _value(x, mode)
+        except ParseError as exc:
+            raise ParseError(f"{where(r, c)}: {x} {exc}") from None
+
+    return StochasticMatrix(
+        [[value(r, c, x) for c, x in enumerate(row, start=1)]
+         for r, row in enumerate(rows, start=1)], mode=mode)
 
 
 def _content_lines(text):
@@ -100,59 +163,7 @@ def _content_lines(text):
     return out
 
 
-def _float_entry(value, token, where):
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{where}: {token} overflows a float") from None
-
-
-def _matrix_entry(token, mode, where):
-    value = _fraction_from_text(token)
-    return value if mode == EXACT else _float_entry(value, token, where)
-
-
-def _token_rows(text, what, valid, malformed, width_note=""):
-    """``(lineno, tokens)`` rows of a square table, each token checked."""
-    rows = []
-    for lineno, line in _content_lines(text):
-        row = line.replace(",", " ").split()
-        for col, tok in enumerate(row, start=1):
-            if not valid(tok):
-                raise ParseError(
-                    f"line {lineno}, entry {col}: {malformed} {tok!r}")
-        rows.append((lineno, row))
-    if not rows:
-        raise ParseError(f"no {what} rows found in input")
-    n = len(rows)
-    for lineno, row in rows:
-        if len(row) != n:
-            raise ParseError(f"line {lineno}: expected {n} entries"
-                             f"{width_note}, got {len(row)}")
-    return rows
-
-
-def _parse_matrix_text(text, mode):
-    rows_tokens = _token_rows(text, "matrix", _classify, "malformed literal",
-                              " for a square matrix")
-    if mode is None:
-        decimal = any(_classify(tok) == "decimal"
-                      for _, row in rows_tokens for tok in row)
-        mode = FLOAT if decimal else EXACT
-    rows = [[_matrix_entry(tok, mode, f"line {lineno}, entry {col}")
-             for col, tok in enumerate(row, start=1)]
-            for lineno, row in rows_tokens]
-    try:
-        sm = StochasticMatrix(rows, mode=mode)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return InputDocument(kind="matrix", mode=mode, matrix=sm)
-
-
-def _parse_graph_text(text, mode):
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("no graph data found in input")
+def _parse_graph_text(lines):
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0].lower() != "nodes" or not parts[1].isdigit():
@@ -178,18 +189,7 @@ def _parse_graph_text(text, mode):
         if m < 0:
             raise ParseError(f"line {lineno}: negative multiplicity")
         edges.append((i - 1, j - 1, m))
-    graph = Graph.from_edges(n, edges)
-    return InputDocument(kind="graph", mode=mode or EXACT, graph=graph)
-
-
-def _parse_adjacency_text(text):
-    rows = _token_rows(text, "adjacency", _INT_RE.match,
-                       "adjacency entries must be integers, got")
-    try:
-        graph = Graph([[int(tok) for tok in row] for _, row in rows])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return graph
+    return Graph.from_edges(n, edges)
 
 
 def _parse_json_document(text, mode):
@@ -208,48 +208,41 @@ def _parse_json_document(text, mode):
         if not isinstance(row, list):
             raise ParseError(f"row {r} is not a list")
     if kind == "graph":
-        try:
-            graph = Graph(rows)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        return InputDocument(kind="graph", mode=mode or EXACT, graph=graph)
+        return Graph(rows)
     if kind != "matrix":
         raise ParseError(f"unknown document kind {doc['kind']!r}")
-    has_decimal = False
-    values = []
-    for r, row in enumerate(rows, start=1):
-        out = []
-        for c, x in enumerate(row, start=1):
-            if isinstance(x, str):
-                kind_x = _classify(x)
-                if kind_x is None:
-                    raise ParseError(f"malformed matrix entry {x!r}")
-                has_decimal |= kind_x == "decimal"
-                out.append(_fraction_from_text(x))
-            elif isinstance(x, bool):
-                raise ParseError(f"malformed matrix entry {x!r}")
-            elif isinstance(x, int):
-                out.append(Fraction(x))
-            elif isinstance(x, float):
-                if not np.isfinite(x):
-                    raise ParseError(
-                        f"entry at row {r}, column {c} is not finite")
-                has_decimal = True
-                out.append(Fraction(x))
-            else:
-                raise ParseError(f"malformed matrix entry {x!r}")
-        values.append(out)
-    if mode is None:
-        mode = FLOAT if has_decimal else EXACT
-    if mode == FLOAT:
-        values = [[_float_entry(x, token, f"row {r}, column {c}")
-                   for c, (x, token) in enumerate(zip(vals, row), start=1)]
-                  for r, (vals, row) in enumerate(zip(values, rows), start=1)]
-    try:
-        sm = StochasticMatrix(values, mode=mode)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return InputDocument(kind="matrix", mode=mode, matrix=sm)
+
+    def where(r, c):
+        return f"row {r}, column {c}"
+
+    return _stochastic(rows, _any_decimal(rows, where), mode, where)
+
+
+def _parse(text, fmt, mode):
+    """A :class:`Graph` or a :class:`StochasticMatrix` from input text."""
+    if fmt == "json" or fmt == "auto" and text.lstrip().startswith("{"):
+        return _parse_json_document(text, mode)
+    if fmt not in ("auto", "matrix", "graph"):
+        raise ParseError(f"unknown input format {fmt!r}")
+    lines = _content_lines(text)
+    if fmt != "matrix" and lines and \
+            lines[0][1].split()[0].lower() == "nodes":
+        return _parse_graph_text(lines)
+    rows = [line.replace(",", " ").split() for _, line in lines]
+    if not rows:
+        raise ParseError("no rows found in input")
+
+    def where(r, c):
+        return f"line {lines[r - 1][0]}, entry {c}"
+
+    decimal = _any_decimal(rows, where)
+    for (lineno, _), row in zip(lines, rows):
+        if len(row) != len(rows):
+            raise ParseError(f"line {lineno}: expected {len(rows)} entries "
+                             f"for a square matrix, got {len(row)}")
+    if fmt == "graph":
+        return Graph(rows)  # which takes only the integer literals
+    return _stochastic(rows, decimal, mode, where)
 
 
 def parse_input(text, fmt="auto", mode=None):
@@ -260,25 +253,15 @@ def parse_input(text, fmt="auto", mode=None):
     ``mode`` is ``None`` it is inferred: any decimal literal makes the
     document float, otherwise it is exact.
     """
-    if fmt == "auto":
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            fmt = "json"
-        else:
-            lines = _content_lines(text)
-            first = lines[0][1].split() if lines else []
-            fmt = "graph" if first and first[0].lower() == "nodes" else "matrix"
-    if fmt == "json":
-        return _parse_json_document(text, mode)
-    if fmt == "graph":
-        lines = _content_lines(text)
-        if lines and lines[0][1].split()[0].lower() == "nodes":
-            return _parse_graph_text(text, mode)
-        return InputDocument(kind="graph", mode=mode or EXACT,
-                             graph=_parse_adjacency_text(text))
-    if fmt == "matrix":
-        return _parse_matrix_text(text, mode)
-    raise ParseError(f"unknown input format {fmt!r}")
+    try:
+        parsed = _parse(text, fmt, mode)
+    except (ParseError, ZeroOutDegreeError):  # main reports a sink itself
+        raise
+    except ValueError as exc:  # the library's own checks of the rows
+        raise ParseError(str(exc)) from exc
+    if isinstance(parsed, Graph):
+        return InputDocument(kind="graph", mode=mode or EXACT, graph=parsed)
+    return InputDocument(kind="matrix", mode=parsed.mode, matrix=parsed)
 
 
 def _read_source(path):
@@ -361,7 +344,7 @@ def _emit(args, lines, payload):
 # ---------------------------------------------------------------------------
 
 def _cmd_stationary(doc, args):
-    if doc.kind == "graph" and args.epsilon is None:
+    if doc.kind == "graph":
         res = graph_stationary(doc.graph).result
     else:
         res = stationary(_working_matrix(doc, args))
@@ -381,7 +364,7 @@ def _cmd_stationary(doc, args):
 
 
 def _cmd_weights(doc, args):
-    if doc.kind == "graph" and args.epsilon is None:
+    if doc.kind == "graph":
         ge = graph_stationary(doc.graph)
         payload = {"kind": "weights", "mode": doc.mode,
                    "numerators": list(ge.numerators),
@@ -443,40 +426,27 @@ def _cmd_verify(doc, args):
 
 
 def _parse_vector(text):
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
+    """Text entries (a decimal one is a float) or a JSON ``pi`` list."""
+    from_text = not text.lstrip().startswith(("{", "["))
+    if from_text:
+        entries = [tok for _, line in _content_lines(text)
+                   for tok in line.replace(",", " ").split()]
+        if not entries:
+            raise ParseError("no vector entries found")
+    else:
         try:
-            doc = json.loads(text)
+            entries = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON vector: {exc}") from exc
-        if isinstance(doc, dict):
-            doc = doc.get("pi")
-        if not isinstance(doc, list):
+        if isinstance(entries, dict):
+            entries = entries.get("pi")
+        if not isinstance(entries, list):
             raise ParseError("JSON input does not contain a 'pi' vector")
-        out = []
-        for k, x in enumerate(doc, start=1):
-            if isinstance(x, str):
-                out.append(_fraction_from_text(x))
-            elif isinstance(x, float) and not np.isfinite(x):
-                raise ParseError(f"vector entry {k} is not finite")
-            elif isinstance(x, (int, float)) and not isinstance(x, bool):
-                out.append(x)
-            else:
-                raise ParseError(f"malformed vector entry {x!r}")
-        return out
-    tokens = []
-    for _, line in _content_lines(text):
-        tokens.extend(line.replace(",", " ").split())
-    if not tokens:
-        raise ParseError("no vector entries found")
-    out = []
-    for tok in tokens:
-        kind = _classify(tok)
-        if kind is None:
-            raise ParseError(f"malformed vector entry {tok!r}")
-        value = _fraction_from_text(tok)
-        out.append(float(value) if kind == "decimal" else value)
-    return out
+    for k, x in enumerate(entries, start=1):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ParseError(f"vector entry {k} is not finite")
+    mode = None if from_text else EXACT
+    return [_scalar(x, mode, "vector entry") for x in entries]
 
 
 def _cmd_compare(doc, args):
@@ -547,9 +517,7 @@ def _working_matrix(doc, args):
     """The stochastic matrix a command operates on, perturbed if requested."""
     sm = doc.stochastic()
     if args.epsilon is not None:
-        eps = (_fraction_from_text(args.epsilon) if sm.mode == EXACT
-               else float(_fraction_from_text(args.epsilon)))
-        sm = perturb(sm, eps)
+        sm = perturb(sm, _scalar(args.epsilon, sm.mode, "--epsilon value"))
     return sm
 
 
@@ -628,6 +596,10 @@ def main(argv=None):
     try:
         doc = parse_input(_read_source(args.source), fmt=args.format,
                           mode=mode)
+        if doc.kind == "graph" and (doc.mode == FLOAT
+                                       or args.epsilon is not None):
+            # only an exact, unperturbed graph takes the integer walk path
+            doc = InputDocument("matrix", doc.mode, matrix=doc.stochastic())
         return _COMMANDS[args.command](doc, args)
     except ZeroOutDegreeError as exc:
         print(f"error: node {exc.node + 1} has no outgoing edges; "

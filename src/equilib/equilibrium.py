@@ -261,12 +261,15 @@ def stationary(p):
 def relative_probability(p, i, j):
     """The stationary ratio ``pi_i / pi_j``, equal to ``w_i / w_j``.
 
-    Indices are 0-based; one outside ``0..n-1`` raises ``ValueError``.
-    Raises ``ZeroDivisionError`` when state ``j`` has a vanishing weight
-    (zero stationary mass or a degenerate chain).
+    Indices are 0-based integers; a bool, a non-integer or one outside
+    ``0..n-1`` raises ``ValueError``.  Raises ``ZeroDivisionError`` when
+    state ``j`` has a vanishing weight (zero stationary mass or a
+    degenerate chain).
     """
     rows, factors = StochasticMatrix.coerce(p)._chain
     for k in (i, j):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"state index {k} is not an integer")
         if not 0 <= k < len(rows):
             raise ValueError(f"state index {k} outside 0..{len(rows) - 1}")
     _, pi, _ = _weights(rows, factors)

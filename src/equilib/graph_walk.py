@@ -77,19 +77,21 @@ class Graph:
     def from_edges(cls, n, edges):
         """Build from ``(i, j)`` or ``(i, j, multiplicity)`` tuples, 0-based.
 
-        Ranges, summed multiplicities and out-degrees are checked on the
-        edge list, so a bad one fails before the ``n x n`` matrix is built;
-        a node without outgoing edges raises :class:`ZeroOutDegreeError`.
+        Ranges, multiplicities (each a nonnegative integer, checked before
+        it is summed) and out-degrees are checked on the edge list, so a bad
+        one fails before the ``n x n`` matrix is built; a node without
+        outgoing edges raises :class:`ZeroOutDegreeError`.
         """
         counts = {}
         for edge in edges:
             i, j, *rest = edge
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            counts[i, j] = counts.get((i, j), 0) + int(rest[0] if rest else 1)
+            m = _edge_count(rest[0], i, j) if rest else 1
+            counts[i, j] = counts.get((i, j), 0) + m
         degrees = [0] * n
-        for (i, j), m in sorted(counts.items()):  # row-major, as Graph checks
-            degrees[i] += _edge_count(m, i, j)
+        for (i, j), m in counts.items():
+            degrees[i] += m
         if 0 in degrees:
             raise ZeroOutDegreeError(degrees.index(0))
         a = [[0] * n for _ in range(n)]

@@ -426,3 +426,62 @@ def test_json_string_overflowing_a_float_is_located(tmp_path, capsys, mode):
     assert code == 1
     assert out == ""
     assert "error: row 2, column 1: 1e999 overflows a float" in err
+
+
+@pytest.mark.parametrize("mode",
+                         [[], ["--mode", "float"], ["--mode", "exact"]])
+@pytest.mark.parametrize("token", ["1/0", "abc", "1e100000000",
+                                   "9" * 20000 + "x"],
+                         ids=["1/0", "abc", "1e100000000", "long-malformed"])
+@pytest.mark.parametrize("place", ["matrix text", "JSON matrix", "text vector",
+                                   "JSON vector", "--epsilon"])
+def test_bad_literal_is_a_located_error_at_once(tmp_path, capsys, place,
+                                                token, mode):
+    # every input reads the same literals; 1e100000000 must not build the
+    # integer 10**100000000 before it is rejected, and a long malformed
+    # token must not make the grammar backtrack quadratically
+    matrix = write(tmp_path, "m.txt", TWO_STATE)
+    argv, where = {
+        "matrix text": (
+            ["stationary",
+             write(tmp_path, "bad.txt", f"2/3 1/3\n{token} 0\n")],
+            "line 2, entry 1: "),
+        "JSON matrix": (
+            ["stationary", write(tmp_path, "bad.json", json.dumps(
+                {"kind": "matrix", "rows": [["2/3", "1/3"], [token, "0"]]}))],
+            "row 2, column 1: "),
+        "text vector": (
+            ["verify", write(tmp_path, "pi.txt", f"{token} 1/3\n"), matrix],
+            f"malformed vector entry {token!r}"),
+        "JSON vector": (
+            ["verify", write(tmp_path, "pi.json",
+                             json.dumps({"pi": [token, "1/3"]})), matrix],
+            f"malformed vector entry {token!r}"),
+        "--epsilon": (["stationary", "--epsilon", token, matrix],
+                      "malformed --epsilon value "),
+    }[place]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *mode)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, text, payload", [
+    ("stationary", "pi = [0.25, 0.5, 0.25]\n",
+     {"kind": "stationary", "mode": "float", "weights": [0.5, 1.0, 0.5],
+      "variant": "unique", "pi": [0.25, 0.5, 0.25]}),
+    ("weights", "w = [0.5, 1, 0.5]\ntotal = 2\n",
+     {"kind": "weights", "mode": "float", "weights": [0.5, 1.0, 0.5],
+      "total": 2.0}),
+])
+def test_graph_under_float_mode_is_solved_in_float(tmp_path, capsys, command,
+                                                   text, payload):
+    path = write(tmp_path, "g.txt", PATH_GRAPH)
+    assert run(capsys, command, "--mode", "float", path) == (0, text, "")
+    code, out, _ = run(capsys, command, "--json", "--mode", "float", path)
+    assert code == 0
+    got = json.loads(out)
+    assert got == payload
+    assert all(type(x) is float for x in got["weights"])

@@ -194,6 +194,23 @@ def test_relative_probability_rejects_indices_outside_the_chain(i, j, bad):
             relative_probability(chain, i, j)
 
 
+
+@pytest.mark.parametrize("i, j, bad", [(1.5, 0, "1.5"), (True, 0, "True"),
+                                       (0, False, "False"),
+                                       (np.float64(1), 0, "1.0")])
+def test_relative_probability_rejects_indices_that_are_not_integers(i, j,
+                                                                    bad):
+    rows = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
+    for chain in (rows, np.array(rows, dtype=float)):
+        with pytest.raises(ValueError,
+                           match=rf"^state index {bad} is not an integer$"):
+            relative_probability(chain, i, j)
+
+
+def test_relative_probability_takes_numpy_integer_indices():
+    rows = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
+    assert relative_probability(rows, np.int64(1), np.int32(0)) == F(3, 2)
+
 # --- verify_equilibrium ---------------------------------------------------------
 
 def test_verify_exact_stationary_residual_is_zero():

@@ -55,6 +55,16 @@ def test_from_edges_accumulates_multiplicity():
     assert g.adjacency == [[0, 3], [1, 0]]
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1.5), (1, 0, 0.9)], r"\(1, 2\) = 1\.5 is not an integer"),
+    ([(0, 1, True), (1, 0)], r"\(1, 2\) = True is not an integer"),
+    ([(0, 1, -1), (0, 1, 2), (1, 0)], r"\(1, 2\) is negative"),
+])
+def test_from_edges_checks_each_multiplicity_before_summing(edges, message):
+    with pytest.raises(ValueError, match=rf"^adjacency entry {message}$"):
+        Graph.from_edges(2, edges)
+
+
 # --- walk matrix ---------------------------------------------------------------
 
 def test_walk_matrix_of_path():
