@@ -193,9 +193,11 @@ def _parse_graph_text(lines):
 
 
 def _parse_json_document(text, mode):
+    # a malformed document, or an int past the digit limit, which json
+    # reports as a plain ValueError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON document: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("JSON document must be an object with a 'kind' field")
@@ -436,7 +438,7 @@ def _parse_vector(text):
     else:
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # as in _parse_json_document
             raise ParseError(f"invalid JSON vector: {exc}") from exc
         if isinstance(entries, dict):
             entries = entries.get("pi")

@@ -40,6 +40,8 @@ from .matrix_core import (
 )
 from .reducibility import DecompositionReport, _classes
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass
 class EquilibriumResult:
@@ -81,9 +83,13 @@ def _state_reduction(q, n_transitory, order):
     last pivot is the minor at ``r`` and ``x`` is the integer minors.  Float
     mode next eliminates a state whose remaining rate is at least half the
     largest, keeping the heavy states to the end so that no pivot
-    underflows on a drifting chain (it swaps ``q`` and ``order`` in place);
-    ``x`` is scaled by powers of two to ``max(x) <= 1``, and the minors are
-    the pivot product times ``x``, which may underflow where ``x`` does not.
+    underflows on a drifting chain (it swaps ``q`` and ``order`` in place).
+    It is left-looking: the trailing block is never written; the next
+    state's row and column take in the earlier eliminations as two
+    matrix-vector products, still sums of nonnegative products, and the row
+    over its pivot is stored in place.  ``x`` is scaled by powers of two to
+    ``max(x) <= 1``, and the minors are the pivot product times ``x``, which
+    may underflow where ``x`` does not.
     """
     n = q.shape[0]
     exact = q.dtype == object
@@ -93,29 +99,31 @@ def _state_reduction(q, n_transitory, order):
     pivots = []
     prev = 1
     for k in range(n - 1):
-        if not exact:
-            end = n_transitory if k < n_transitory else n
-            c = k + int(np.argmax(rates[k:end]))
-            if rates[k] < 0.5 * rates[c]:
-                q[k], q[c] = q[c].copy(), q[k].copy()
-                q[:, k], q[:, c] = q[:, c].copy(), q[:, k].copy()
-                rates[k], rates[c] = rates[c], rates[k]
-                order[k], order[c] = order[c], order[k]
-        pivot = q[k, k + 1:].sum()
-        pivots.append(pivot)
+        # views into q: the float swaps below write through them
         col, row = q[k + 1:, k], q[k, k + 1:]
         if exact:
+            pivot = row.sum()
             q[k + 1:, k + 1:] = (q[k + 1:, k + 1:] * pivot
                                  + np.outer(col, row)) // prev
             prev = pivot
         else:
-            if not pivot >= np.finfo(float).tiny:
+            end = n_transitory if k < n_transitory else n
+            c = k + int(np.argmax(rates[k:end]))
+            if rates[k] < 0.5 * rates[c]:
+                q[[k, c]] = q[[c, k]]
+                q[:, [k, c]] = q[:, [c, k]]
+                rates[[k, c]] = rates[[c, k]]
+                order[k], order[c] = order[c], order[k]
+            row += q[k, :k] @ q[:k, k + 1:]
+            col += q[k + 1:, :k] @ q[:k, k]
+            pivot = row.sum()
+            if not pivot >= _TINY:
                 raise ValueError(
                     "transition rates underflow double precision; "
                     "solve this chain in exact mode")
-            row = row / pivot
-            q[k + 1:, k + 1:] += np.outer(col, row)
+            row /= pivot
             rates[k + 1:] -= col * row
+        pivots.append(pivot)
     x = np.empty(n, dtype=q.dtype)
     x[n - 1] = prev if exact else 1.0
     shift = 0

@@ -15,6 +15,7 @@ happens once, at the very end.
 """
 
 import math
+import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,10 @@ import numpy as np
 
 from .matrix_core import StochasticMatrix, _square_rows
 from .equilibrium import EquilibriumResult, _solve
+
+
+# a string edge count: ASCII digits with an optional sign, nothing else
+_COUNT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class ZeroOutDegreeError(ValueError):
@@ -45,8 +50,9 @@ def _edge_count(x, i, j):
     ) and x.is_integer():
         m = int(x)
     elif isinstance(x, str):
-        with suppress(ValueError):
-            m = int(x)
+        if _COUNT_RE.fullmatch(x):
+            with suppress(ValueError):  # past the int digit limit
+                m = int(x)
         x = repr(x)
     if m is None:
         raise ValueError(

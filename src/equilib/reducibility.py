@@ -53,11 +53,18 @@ def _classes(rows):
 
 
 def _strongly_connected_components(adj):
-    """Tarjan's algorithm, iteratively, over neighbor lists."""
+    """Tarjan's algorithm, iteratively, over neighbor lists.
+
+    Returns the classes and, for each, whether it is closed.  An edge
+    leaves a class exactly when it leads to a state whose class is already
+    complete: a visited state off the stack, or a tree child that completed
+    its own class.
+    """
     n = len(adj)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
+    leaks = [False] * n
     stack = []
     comps = []
     counter = 0
@@ -81,7 +88,9 @@ def _strongly_connected_components(adj):
                     work.append((w, iter(adj[w])))
                     advanced = True
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if not on_stack[w]:
+                    leaks[v] = True
+                elif index[w] < low[v]:
                     low[v] = index[w]
             if advanced:
                 continue
@@ -98,9 +107,11 @@ def _strongly_connected_components(adj):
                     comp.append(w)
                     if w == v:
                         break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+                if work:
+                    leaks[u] = True
+                comps.append((sorted(comp), not any(leaks[w] for w in comp)))
+    comps.sort(key=lambda c: c[0][0])
+    return [c for c, _ in comps], [closed for _, closed in comps]
 
 
 def communicating_classes(p):
@@ -114,12 +125,7 @@ def communicating_classes(p):
 
 def _decompose(adj):
     """The class decomposition of a digraph given as neighbor lists."""
-    classes = _strongly_connected_components(adj)
-    closed_flags = []
-    for cls in classes:
-        members = set(cls)
-        closed_flags.append(
-            all(w in members for v in cls for w in adj[v]))
+    classes, closed_flags = _strongly_connected_components(adj)
     transitory = sorted(
         v for cls, ok in zip(classes, closed_flags) if not ok for v in cls)
     return DecompositionReport(classes, closed_flags, transitory)

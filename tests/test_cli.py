@@ -407,6 +407,7 @@ def test_ragged_json_matrix_rows_are_located(tmp_path, capsys, rows):
 @pytest.mark.parametrize("entry, shown", [
     ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
     ('"a"', "'a'"), ("null", "None"), ("true", "True"), ("false", "False"),
+    ('"1_0"', "'1_0'"), ('" 1"', "' 1'"), ('"\\u0661"', "'\u0661'"),
 ])
 def test_json_graph_entry_that_is_not_an_integer_is_located(
         tmp_path, capsys, entry, shown):
@@ -416,6 +417,31 @@ def test_json_graph_entry_that_is_not_an_integer_is_located(
     assert code == 1
     assert out == ""
     assert f"error: adjacency entry (1, 1) = {shown} is not an integer" in err
+
+
+@pytest.mark.parametrize("place", ["matrix", "graph", "vector"])
+def test_json_number_past_the_int_digit_limit_is_located(tmp_path, capsys,
+                                                         place):
+    big = "1" + "0" * 4399
+    matrix = write(tmp_path, "m.txt", TWO_STATE)
+    argv, where = {
+        "matrix": (["stationary", write(
+            tmp_path, "m.json",
+            '{"kind": "matrix", "rows": [[%s, 0], [0, 1]]}' % big)],
+            "invalid JSON document: "),
+        "graph": (["stationary", write(
+            tmp_path, "g.json",
+            '{"kind": "graph", "rows": [[%s, 1], [1, 0]]}' % big)],
+            "invalid JSON document: "),
+        "vector": (["verify", write(tmp_path, "pi.json",
+                                    '{"pi": [%s, 0]}' % big), matrix],
+                   "invalid JSON vector: "),
+    }[place]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {where}") and "4300" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode", [[], ["--mode", "float"]])

@@ -199,6 +199,68 @@ def test_float_block_structure_detected():
         assert verify_equilibrium(v, rows) <= 1e-14
 
 
+# --- classes and closedness against reachability sets ------------------------
+
+def reachable_sets(adj):
+    """The states reachable from each state (itself included), by search."""
+    sets = []
+    for start in range(len(adj)):
+        seen, todo = {start}, [start]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        sets.append(seen)
+    return sets
+
+
+def digraph_with_closed_classes(rng):
+    """Neighbor lists of a relabelled digraph: a few strongly connected
+    blocks with no edge out, and transitory states with sparse edges
+    anywhere, so classes leak through tree edges as well as cross edges."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+    n_free = rng.randint(0, 8)
+    n = sum(sizes) + n_free
+    adj = [set() for _ in range(n)]
+    lo = n_free
+    for size in sizes:
+        for i in range(lo, lo + size):
+            adj[i].add(lo + (i - lo + 1) % size)
+            adj[i].add(rng.randrange(lo, lo + size))
+        lo += size
+    for i in range(n_free):
+        for _ in range(rng.randint(1, 3)):
+            adj[i].add(rng.randrange(n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabelled = [None] * n
+    for i in range(n):
+        relabelled[perm[i]] = sorted(perm[j] for j in adj[i])
+    return relabelled
+
+
+def test_classes_and_closed_flags_match_reachability():
+    rng = make_rng(157)
+    several_closed = 0
+    for _ in range(300):
+        adj = digraph_with_closed_classes(rng)
+        n = len(adj)
+        p = np.zeros((n, n))
+        for i, out in enumerate(adj):
+            p[i, out] = 1.0 / len(out)
+        reach = reachable_sets(adj)
+        expected = sorted(
+            {tuple(sorted(j for j in reach[i] if i in reach[j]))
+             for i in range(n)})
+        report = communicating_classes(p)
+        assert report.classes == [list(c) for c in expected]
+        assert report.closed_flags == [reach[c[0]] == set(c)
+                                       for c in expected]
+        several_closed += report.n_closed > 1
+    assert several_closed > 200
+
+
 # --- closed class count vs eigenvalue multiplicity ------------------------------
 
 def test_classes_match_networkx_components():

@@ -320,6 +320,47 @@ def test_float_rates_below_double_precision_raise():
         stationary(p)
 
 
+def relabelled(p, rng):
+    perm = rng.permutation(len(p))
+    return p[np.ix_(perm, perm)], perm
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("n", [257, 300])
+def test_mean_of_permutation_matrices_is_uniform(n, relabel):
+    # the mean of 16 permutation matrices has entries k/16 and every row
+    # and column summing to exactly 1, so its stationary vector is uniform
+    rng = np.random.default_rng(n)
+    p = np.zeros((n, n))
+    for _ in range(16):
+        p[np.arange(n), rng.permutation(n)] += 1 / 16
+    if relabel:
+        p, _ = relabelled(p, rng)
+    assert np.all(p.sum(axis=0) == 1.0) and np.all(p.sum(axis=1) == 1.0)
+    res = stationary(p)
+    assert res.unique
+    assert np.max(np.abs(res.pi * n - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_dense_undirected_walk_is_proportional_to_degree(relabel):
+    # a walk on an undirected multigraph is reversible with pi_i = d_i / 2m
+    n = 257
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 4, size=(n, n)))
+    a = upper + np.triu(upper, 1).T
+    degrees = a.sum(axis=1)
+    assert degrees.min() > 0
+    expected = degrees / degrees.sum()
+    p = a / degrees[:, None]
+    if relabel:
+        p, perm = relabelled(p, rng)
+        expected = expected[perm]
+    res = stationary(p)
+    assert res.unique
+    assert np.max(np.abs(res.pi / expected - 1.0)) <= 1e-12
+
+
 def test_degenerate_chain_decomposes_the_full_chain_once(monkeypatch):
     import equilib.reducibility as reducibility
 

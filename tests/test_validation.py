@@ -146,11 +146,21 @@ def test_closed_classes_get_no_second_class_pass(monkeypatch):
     (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
     ("a", "'a'"), (None, "None"), (1.5, "1.5"), ([1], "[1]"),
     (True, "True"), (False, "False"),
+    # a string count is ASCII digits with an optional sign, nothing else
+    ("1_0", "'1_0'"), (" 1", "' 1'"), ("1 ", "'1 '"), ("\u0661", "'\u0661'"),
+    ("", "''"), ("+", "'+'"),
 ])
 def test_graph_entries_that_are_not_integers_are_located(bad, shown):
     with pytest.raises(ValueError, match=_exactly(
             f"adjacency entry (2, 1) = {shown} is not an integer")):
         Graph([[0, 1], [bad, 0]])
+
+
+def test_graph_string_counts_with_a_sign_are_read():
+    assert Graph([["0", "+2"], ["007", "0"]]).adjacency == [[0, 2], [7, 0]]
+    with pytest.raises(ValueError, match=_exactly(
+            "adjacency entry (1, 2) is negative")):
+        Graph([["0", "-1"], ["1", "0"]])
 
 
 def test_graph_accepts_integral_floats_and_numpy_integers():
