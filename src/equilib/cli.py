@@ -36,7 +36,13 @@ from .equilibrium import (
     stationary,
     verify_equilibrium,
 )
-from .graph_walk import Graph, ZeroOutDegreeError, graph_stationary, walk_matrix
+from .graph_walk import (
+    _COUNT_RE,
+    Graph,
+    ZeroOutDegreeError,
+    graph_stationary,
+    walk_matrix,
+)
 from .oracle import (
     SingularSystemError,
     linear_solve_stationary,
@@ -46,12 +52,13 @@ from .oracle import (
 
 MODE_ENV_VAR = "EQUILIB_MODE"
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
 # the one literal grammar: an integer, a rational a/b with b != 0, or a
 # decimal (group 1) with an optional exponent; no two digit runs may meet,
-# so a long malformed token fails in linear time
-_LITERAL_RE = re.compile(r"[+-]?(?:\d+(?:/0*[1-9]\d*)?"
-                         r"|((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?))\Z")
+# so a long malformed token fails in linear time.  Digits are ASCII, as in
+# the integer grammar of edge counts.
+_LITERAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?"
+                         r"|((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                         r"(?:[eE][+-]?[0-9]+)?))\Z")
 
 
 class ParseError(ValueError):
@@ -126,6 +133,13 @@ def _scalar(x, mode, what):
         raise ParseError(f"malformed {what} {x!r}: {exc}") from None
 
 
+def _state_index(text):
+    """A ``ratio`` state index argument, in the integer grammar of counts."""
+    if not _COUNT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _any_decimal(rows, where):
     """Whether an entry is a decimal; ``where(r, c)`` names a malformed one."""
     flags = [[_literal(x) for x in row] for row in rows]
@@ -166,7 +180,8 @@ def _content_lines(text):
 def _parse_graph_text(lines):
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0].lower() != "nodes" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0].lower() != "nodes" \
+            or not _COUNT_RE.fullmatch(parts[1]):
         raise ParseError(
             f"line {lineno}: expected a header 'nodes N', got {header!r}")
     n = int(parts[1])
@@ -176,7 +191,7 @@ def _parse_graph_text(lines):
     for lineno, line in lines[1:]:
         parts = line.replace(",", " ").split()
         if len(parts) not in (2, 3) or not all(
-            _INT_RE.match(p) for p in parts
+            _COUNT_RE.fullmatch(p) for p in parts
         ):
             raise ParseError(
                 f"line {lineno}: expected an edge 'i j [multiplicity]', "
@@ -576,8 +591,9 @@ def _build_parser():
     ]:
         p = sub.add_parser(name, help=help_text)
         if name == "ratio":
-            p.add_argument("i", type=int, help="state index (1-based)")
-            p.add_argument("j", type=int, help="state index (1-based)")
+            for index in ("i", "j"):
+                p.add_argument(index, type=_state_index,
+                               help="state index (1-based)")
         if name == "verify":
             p.add_argument("pi_file", metavar="pi-file",
                            help="vector file: text entries or JSON with 'pi'")

@@ -20,9 +20,9 @@ vertices, one kernel run per closed class; only the kernel, slicing the
 rows in and giving Fractions or floats out, depends on the scalar field.
 
 The closed-form functions for 2..5 states evaluate the same weights from
-explicit formulas in the banded parameterization (see
-:func:`matrix_from_bands`) and exist chiefly as independent cross-checks of
-the general minor construction.
+the paper's formulas in the banded parameterization (see
+:func:`matrix_from_bands`), as independent cross-checks of the kernel; a
+float or degenerate chain takes the solve path for ``pi`` and its vertices.
 """
 
 import math
@@ -235,19 +235,6 @@ def equilibrium_polytope(p):
     return _with_vertices(_classes(rows), rows, factors)
 
 
-def _closed_form_result(w, bands, mode):
-    total = w.sum()
-    # exact weights all vanish exactly when there are several closed classes
-    if mode == EXACT and total != 0:
-        return EquilibriumResult(weights=w, pi=w / total)
-    rows, factors = matrix_from_bands(bands, mode)._chain
-    report = _classes(rows)
-    if report.n_closed == 1:
-        return EquilibriumResult(weights=w, pi=w / total)
-    return EquilibriumResult(
-        weights=w, decomposition=_with_vertices(report, rows, factors))
-
-
 def stationary(p):
     """Stationary distribution of a stochastic matrix.
 
@@ -344,27 +331,45 @@ def matrix_from_bands(bands, mode=None):
     return StochasticMatrix(rows, mode=mode)
 
 
-def _coerce_params(values):
-    """Bring scalar parameters into one mode: float wins over exact."""
+def _bands(values, n):
+    """``(bands, mode)``: ``values`` split into the ``n`` rows of
+    :func:`matrix_from_bands` in one mode (float wins over exact), each
+    parameter in ``[0, 1]`` and each row sum at most 1, up to
+    ``FLOAT_SIGN_SLACK`` in float mode; an error names the parameter or row."""
     if any(isinstance(v, (float, np.floating)) for v in values):
-        return [float(v) for v in values], FLOAT
-    return [Fraction(v) for v in values], EXACT
-
-
-def _check_bands(bands, mode):
-    lo = 0 if mode == EXACT else -FLOAT_SIGN_SLACK
-    hi_one = 1 if mode == EXACT else 1 + FLOAT_SIGN_SLACK
-    n = len(bands) + 1
-    for i, band in enumerate(bands):
-        letter = _BAND_LETTERS[i]
+        values, mode = [float(v) for v in values], FLOAT
+    else:
+        values, mode = [Fraction(v) for v in values], EXACT
+    slack = 0 if mode == EXACT else FLOAT_SIGN_SLACK
+    bands = [values[i:i + n - 1] for i in range(0, len(values), n - 1)]
+    for letter, band in zip(_BAND_LETTERS, bands):
         for k, x in enumerate(band, start=1):
-            if not (lo <= x <= hi_one):
+            if not -slack <= x <= 1 + slack:
                 raise ValueError(
                     f"parameter {letter}{k} = {x} outside [0, 1]")
-        if not sum(band) <= (1 if mode == EXACT else 1 + n * 1e-9):
+        if not sum(band) <= 1 + slack:
             raise ValueError(
                 f"row parameters {letter}1..{letter}{n - 1} sum to "
                 f"{sum(band)}, must be at most 1")
+    return bands, mode
+
+
+def _closed_form_result(values, bands, mode):
+    """The result of the chain ``bands`` with formula weights ``values``.
+
+    Exact weights all vanish exactly when there are several closed classes,
+    so a nonzero total gives ``pi = w / total``.  Any other chain takes the
+    solve path, keeping the formula weights: float ``pi`` comes from the GTH
+    kernel, with its entrywise accuracy, as formula weights may underflow.
+    """
+    if mode == EXACT:
+        w = np.array(values, dtype=object)
+        total = w.sum()
+        if total != 0:
+            return EquilibriumResult(weights=w, pi=w / total)
+    else:  # the true weights are nonnegative; slack and rounding are not
+        w = np.clip(np.array(values, dtype=float), 0.0, None)
+    return replace(_solve(*matrix_from_bands(bands, mode)._chain), weights=w)
 
 
 def closed_form_2(p, q):
@@ -374,10 +379,9 @@ def closed_form_2(p, q):
     ``p + q == 0`` means the identity chain, where every probability vector
     is stationary, and a degenerate result is returned.
     """
-    (p, q), mode = _coerce_params([p, q])
-    _check_bands([[p], [q]], mode)
-    w = _weight_array([q, p], mode)
-    return _closed_form_result(w, [[p], [q]], mode)
+    bands, mode = _bands([p, q], 2)
+    (p,), (q,) = bands
+    return _closed_form_result([q, p], bands, mode)
 
 
 def closed_form_3(p1, p2, q1, q2, r1, r2):
@@ -392,15 +396,11 @@ def closed_form_3(p1, p2, q1, q2, r1, r2):
 
     and each is the matching principal minor of ``I - P``.
     """
-    (p1, p2, q1, q2, r1, r2), mode = _coerce_params(
-        [p1, p2, q1, q2, r1, r2])
-    bands = [[p1, p2], [q1, q2], [r1, r2]]
-    _check_bands(bands, mode)
-    w1 = q1 * r1 + q2 * r1 + q2 * r2
-    w2 = r1 * p1 + r2 * p1 + r2 * p2
-    w3 = p1 * q1 + p2 * q1 + p2 * q2
-    w = _weight_array([w1, w2, w3], mode)
-    return _closed_form_result(w, bands, mode)
+    bands, mode = _bands([p1, p2, q1, q2, r1, r2], 3)
+    (p1, p2), (q1, q2), (r1, r2) = bands
+    return _closed_form_result([q1 * r1 + q2 * r1 + q2 * r2,
+                                r1 * p1 + r2 * p1 + r2 * p2,
+                                p1 * q1 + p2 * q1 + p2 * q2], bands, mode)
 
 
 # the 16 monomials of the first four-state weight, as (a, b, c) exponents
@@ -422,75 +422,33 @@ def closed_form_4(p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3):
     ``w_i`` is a sum of 16 products of one parameter from each of the other
     three rows; the rows rotate cyclically from one weight to the next.
     """
-    params, mode = _coerce_params(
-        [p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3])
-    bands = [params[0:3], params[3:6], params[6:9], params[9:12]]
-    _check_bands(bands, mode)
-    w = []
-    for i in range(4):
-        a, b, c = (bands[(i + 1) % 4], bands[(i + 2) % 4],
-                   bands[(i + 3) % 4])
-        w.append(sum(a[x - 1] * b[y - 1] * c[z - 1]
-                     for x, y, z in _W4_FIRST_WEIGHT_TERMS))
-    w = _weight_array(w, mode)
-    return _closed_form_result(w, bands, mode)
+    bands, mode = _bands([p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3], 4)
+    return _closed_form_result(
+        [sum(a[x - 1] * b[y - 1] * c[z - 1]
+             for x, y, z in _W4_FIRST_WEIGHT_TERMS)
+         for a, b, c in ((bands * 2)[i + 1:i + 4] for i in range(4))],
+        bands, mode)
 
 
 def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
                   s1, s2, s3, s4, t1, t2, t3, t4):
-    """Five-state equilibrium from five explicit 4x4 determinants.
+    """Five-state equilibrium from the five principal minors of ``I - P``.
 
     Parameters follow the banded layout of :func:`matrix_from_bands` with
-    rows ``(p1..p4)`` through ``(t1..t4)``.  Each weight is written out as
-    the determinant of the corresponding 4x4 principal submatrix of
-    ``I - P``; expanding them would give five quartic polynomials of 125
-    terms each, which is why the determinant form is used.
+    rows ``(p1..p4)`` through ``(t1..t4)``.  ``I - P`` is built from them:
+    each row's parameter sum on the diagonal and ``-x`` off it.  Weight
+    ``w_i`` is the determinant of its 4x4 principal submatrix without row
+    and column ``i``; expanding them would give five quartic polynomials of
+    125 terms each, which is why the determinant form is used.
     """
-    params, mode = _coerce_params(
-        [p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
-         s1, s2, s3, s4, t1, t2, t3, t4])
-    p = params[0:4]
-    q = params[4:8]
-    r = params[8:12]
-    s = params[12:16]
-    t = params[16:20]
-    bands = [p, q, r, s, t]
-    _check_bands(bands, mode)
-    sp, sq, sr, ss, st = (sum(x) for x in bands)
-    p1, p2, p3, p4 = p
-    q1, q2, q3, q4 = q
-    r1, r2, r3, r4 = r
-    s1, s2, s3, s4 = s
-    t1, t2, t3, t4 = t
-    minors = [
-        [[sq, -q1, -q2, -q3],
-         [-r4, sr, -r1, -r2],
-         [-s3, -s4, ss, -s1],
-         [-t2, -t3, -t4, st]],
-        [[sp, -p2, -p3, -p4],
-         [-r3, sr, -r1, -r2],
-         [-s2, -s4, ss, -s1],
-         [-t1, -t3, -t4, st]],
-        [[sp, -p1, -p3, -p4],
-         [-q4, sq, -q2, -q3],
-         [-s2, -s3, ss, -s1],
-         [-t1, -t2, -t4, st]],
-        [[sp, -p1, -p2, -p4],
-         [-q4, sq, -q1, -q3],
-         [-r3, -r4, sr, -r2],
-         [-t1, -t2, -t3, st]],
-        [[sp, -p1, -p2, -p3],
-         [-q4, sq, -q1, -q2],
-         [-r3, -r4, sr, -r1],
-         [-s2, -s3, -s4, ss]],
-    ]
-    w = _weight_array([determinant(m) for m in minors], mode)
-    return _closed_form_result(w, bands, mode)
-
-
-def _weight_array(values, mode):
-    if mode == EXACT:
-        return np.array([Fraction(v) for v in values], dtype=object)
-    # float closed forms may take parameters down to -1e-12 and, for five
-    # states, rounded determinants; the true weights are nonnegative
-    return np.clip(np.array([float(v) for v in values]), 0.0, None)
+    bands, mode = _bands([p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
+                          s1, s2, s3, s4, t1, t2, t3, t4], 5)
+    laplacian = [[None] * 5 for _ in range(5)]
+    for i, band in enumerate(bands):
+        laplacian[i][i] = sum(band)
+        for k, x in enumerate(band, start=1):
+            laplacian[i][(i + k) % 5] = -x
+    return _closed_form_result(
+        [determinant([[row[j] for j in range(5) if j != i]
+                      for row in laplacian[:i] + laplacian[i + 1:]])
+         for i in range(5)], bands, mode)

@@ -362,12 +362,8 @@ class StochasticMatrix:
         return self._cleared or (self.p, None)
 
     @classmethod
-    def coerce(cls, obj, mode=None):
-        if isinstance(obj, cls):
-            if mode is None or obj.mode == mode:
-                return obj
-            return obj.to_float() if mode == FLOAT else obj.to_exact()
-        return cls(obj, mode)
+    def coerce(cls, obj):
+        return obj if isinstance(obj, cls) else cls(obj)
 
     def to_float(self):
         if self.mode == FLOAT:

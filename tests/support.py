@@ -108,6 +108,16 @@ def stationary_reference(rows):
     return [v / total for v in x]
 
 
+def exact_rows_of(p):
+    """The float matrix's off-diagonal entries, exactly, with the diagonal
+    completing each row to 1."""
+    n = len(p)
+    rows = [[Fraction(float(x)) for x in row] for row in p]
+    for i in range(n):
+        rows[i][i] = 1 - sum(x for j, x in enumerate(rows[i]) if j != i)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # random exact chains
 # ---------------------------------------------------------------------------

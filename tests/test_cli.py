@@ -457,8 +457,9 @@ def test_json_string_overflowing_a_float_is_located(tmp_path, capsys, mode):
 @pytest.mark.parametrize("mode",
                          [[], ["--mode", "float"], ["--mode", "exact"]])
 @pytest.mark.parametrize("token", ["1/0", "abc", "1e100000000",
-                                   "9" * 20000 + "x"],
-                         ids=["1/0", "abc", "1e100000000", "long-malformed"])
+                                   "9" * 20000 + "x", "\u0661", "0.\u0665"],
+                         ids=["1/0", "abc", "1e100000000", "long-malformed",
+                              "non-ascii-integer", "non-ascii-decimal"])
 @pytest.mark.parametrize("place", ["matrix text", "JSON matrix", "text vector",
                                    "JSON vector", "--epsilon"])
 def test_bad_literal_is_a_located_error_at_once(tmp_path, capsys, place,
@@ -492,6 +493,29 @@ def test_bad_literal_is_a_located_error_at_once(tmp_path, capsys, place,
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nodes 2\n1 \u0662\n2 1\n",
+     "line 2: expected an edge 'i j [multiplicity]', got '1 \u0662'"),
+    ("nodes \u00b2\n1 2\n2 1\n",
+     "line 1: expected a header 'nodes N', got 'nodes \u00b2'"),
+], ids=["edge", "header"])
+def test_non_ascii_digits_in_an_edge_list_are_located(tmp_path, capsys, text,
+                                                      message):
+    code, out, err = run(capsys, "stationary", write(tmp_path, "g.txt", text))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("index", ["\u0662", "1_0", " 2"])
+def test_ratio_index_takes_ascii_digits_only(tmp_path, capsys, index):
+    path = write(tmp_path, "m.txt", TWO_STATE)
+    code, out, err = run(capsys, "ratio", index, "1", path)
+    assert code == 1
+    assert out == ""
+    assert f"error: argument i: invalid int value: {index!r}" in err
 
 
 @pytest.mark.parametrize("command, text, payload", [

@@ -6,8 +6,10 @@ principal minors, and numeric probes prove the production code equals the
 transcriptions.
 """
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,12 @@ from equilib import (
     minor_weights,
     stationary,
 )
-from support import make_rng, random_band_params, stationary_reference
+from support import (
+    exact_rows_of,
+    make_rng,
+    random_band_params,
+    stationary_reference,
+)
 from support_polynomials import (
     FIVE_STATE_W1_TERMS,
     FOUR_STATE_W1_TERMS,
@@ -68,7 +75,7 @@ def _symbolic_banded_minor(n, i):
             m[row, (row + k) % n] = -s
             total += s
         m[row, row] = total
-    return m.minor_submatrix(i, i).det().expand(), syms
+    return m.minor_submatrix(i, i).det(method="berkowitz").expand(), syms
 
 
 @pytest.mark.parametrize("i", range(3))
@@ -254,3 +261,67 @@ def test_float_parameters_give_float_results():
     res = closed_form_3(0.5, 0.0, 0.0, 1 / 3, 0.25, 0.0)
     assert res.unique
     assert res.pi == pytest.approx([0.4, 0.6, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("fn, params, message", [
+    (closed_form_3, [F(3, 4), F(1, 2), 0, 0, 0, 0],
+     "row parameters p1..p2 sum to 5/4, must be at most 1"),
+    (closed_form_5, [0] * 4 + [F(1, 2)] * 4 + [0] * 12,
+     "row parameters q1..q4 sum to 2, must be at most 1"),
+    # within the float slack of every parameter, not of the row sum
+    (closed_form_3, [0.5, 0.5 + 1e-10, 0, 0, 0, 0],
+     "row parameters p1..p2 sum to 1.0000000001, must be at most 1"),
+    (closed_form_2, [0.25, 1 + 1e-11], "parameter q1 = 1.00000000001 "
+     "outside [0, 1]"),
+])
+def test_band_errors_name_the_parameters(fn, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(*params)
+
+
+@pytest.mark.parametrize("n, fn", [(3, closed_form_3), (4, closed_form_4),
+                                   (5, closed_form_5)])
+def test_float_cycles_with_tiny_steps_are_uniform(n, fn):
+    # the formula weights are step^(n-1), mostly below the smallest float
+    for step in (1e-200, 1e-120, 1e-90):
+        res = fn(*flat([[step] + [0.0] * (n - 2)] * n))
+        assert res.unique
+        assert np.isfinite(res.pi).all()
+        assert np.max(np.abs(res.pi * n - 1.0)) <= 1e-12
+
+
+def test_float_bands_near_1e_150_keep_relative_accuracy():
+    # a weight sums products of n - 1 parameters, down to 1e-600 here
+    rng = make_rng(306)
+    for n, fn in ((4, closed_form_4), (5, closed_form_5)):
+        for _ in range(30):
+            bands = [[rng.uniform(0.5, 1.0) / n * rng.choice((1.0, 1e-150))
+                      for _ in range(n - 1)] for _ in range(n)]
+            res = fn(*flat(bands))
+            ref = stationary_reference(exact_rows_of(
+                matrix_from_bands(bands).p))
+            assert res.unique
+            assert max(abs(F(float(x)) - r) / r
+                       for x, r in zip(res.pi, ref)) <= 1e-12
+
+
+def test_float_closed_forms_take_the_solve_path():
+    rng = make_rng(307)
+    for n, fn in ((2, closed_form_2), (3, closed_form_3),
+                  (4, closed_form_4), (5, closed_form_5)):
+        for _ in range(40):
+            # each parameter scaled by 1, 1e-50 or 1e-150; small denominators
+            # give zeros, and 19 of these 160 chains are degenerate
+            bands = [[float(x) * rng.choice((1.0, 1e-50, 1e-150))
+                      for x in band]
+                     for band in random_band_params(rng, n, max_den=2)]
+            res = fn(*flat(bands))
+            general = stationary(matrix_from_bands(bands))
+            assert res.unique == general.unique
+            if res.unique:
+                assert res.pi.tobytes() == general.pi.tobytes()
+            else:
+                assert [v.tobytes() for v in
+                        res.decomposition.vertex_equilibria] == [
+                    v.tobytes() for v in
+                    general.decomposition.vertex_equilibria]

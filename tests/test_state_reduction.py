@@ -25,6 +25,7 @@ from equilib import (
 )
 from support import (
     direct_sum,
+    exact_rows_of,
     in_tree_weights,
     make_rng,
     random_connected_undirected,
@@ -222,16 +223,6 @@ def eps_coupled(eps, h=8, seed=0):
         p[i, k] -= eps
         p[i, j] = eps
     return p
-
-
-def exact_rows_of(p):
-    """The float matrix's off-diagonal entries, exactly, with the diagonal
-    completing each row to 1."""
-    n = len(p)
-    rows = [[F(float(x)) for x in row] for row in p]
-    for i in range(n):
-        rows[i][i] = 1 - sum(x for j, x in enumerate(rows[i]) if j != i)
-    return rows
 
 
 @pytest.mark.parametrize(
