@@ -140,6 +140,28 @@ def _state_index(text):
     return int(text)
 
 
+def _tolerance(text):
+    """The ``--tol`` argument: a literal read as a finite float, at least 0."""
+    try:
+        tol = _scalar(text, FLOAT, "--tol value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if tol < 0:
+        raise argparse.ArgumentTypeError(
+            f"malformed --tol value {text!r}: negative")
+    return tol
+
+
+def _count(text, lineno, what):
+    """A graph text field that matched the integer grammar of counts."""
+    try:
+        return int(text)
+    except ValueError:  # past the int digit limit
+        raise ParseError(
+            f"line {lineno}: {what} exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit") from None
+
+
 def _any_decimal(rows, where):
     """Whether an entry is a decimal; ``where(r, c)`` names a malformed one."""
     flags = [[_literal(x) for x in row] for row in rows]
@@ -184,7 +206,7 @@ def _parse_graph_text(lines):
             or not _COUNT_RE.fullmatch(parts[1]):
         raise ParseError(
             f"line {lineno}: expected a header 'nodes N', got {header!r}")
-    n = int(parts[1])
+    n = _count(parts[1], lineno, "node count")
     if n < 1:
         raise ParseError(f"line {lineno}: node count must be positive")
     edges = []
@@ -196,8 +218,8 @@ def _parse_graph_text(lines):
             raise ParseError(
                 f"line {lineno}: expected an edge 'i j [multiplicity]', "
                 f"got {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        m = int(parts[2]) if len(parts) == 3 else 1
+        fields = [_count(p, lineno, "edge field") for p in parts]
+        i, j, m = fields if len(fields) == 3 else (*fields, 1)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(
                 f"line {lineno}: node index out of range 1..{n}")
@@ -574,7 +596,7 @@ def _build_parser():
                             f"the input, or ${MODE_ENV_VAR})")
         p.add_argument("--format", choices=["auto", "matrix", "graph", "json"],
                        default="auto", help="input format (default: auto)")
-        p.add_argument("--tol", type=float, default=1e-12,
+        p.add_argument("--tol", type=_tolerance, default=1e-12,
                        help="power-method spread tolerance")
         p.add_argument("--epsilon", default=None, metavar="X",
                        help="perturb the chain toward uniform by X before "

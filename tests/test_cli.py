@@ -509,6 +509,38 @@ def test_non_ascii_digits_in_an_edge_list_are_located(tmp_path, capsys, text,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, where", [
+    ("nodes 1" + "0" * 5000 + "\n1 1\n", "line 1: node count"),
+    ("nodes 2\n1 2\n\n2 1" + "0" * 5000 + "\n", "line 4: edge field"),
+    ("nodes 2\n1 2\n2 1 1" + "0" * 5000 + "\n", "line 3: edge field"),
+], ids=["header", "edge-index", "edge-multiplicity"])
+def test_graph_field_past_the_int_digit_limit_is_located(tmp_path, capsys,
+                                                         text, where):
+    code, out, err = run(capsys, "stationary", write(tmp_path, "g.txt", text))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {where} exceeds the 4300-digit limit\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12", "1_0",
+                                 "1e999", "abc", "", "\u0661e-3"])
+def test_tol_is_a_finite_nonnegative_literal(tmp_path, capsys, tol):
+    path = write(tmp_path, "m.txt", TWO_STATE)
+    code, out, err = run(capsys, "compare", f"--tol={tol}", path)
+    assert code == 1
+    assert out == ""
+    assert f"error: argument --tol: malformed --tol value {tol!r}" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9", "1/1000", "0.5"])
+def test_tol_takes_the_literal_grammar(tmp_path, capsys, tol):
+    path = write(tmp_path, "m.txt", TWO_STATE)
+    code, out, _ = run(capsys, "compare", "--json", f"--tol={tol}", path)
+    assert code == 0
+    methods = json.loads(out)["methods"]
+    assert methods["power_method"]["pi"] == [2 / 3, 1 / 3]
+
+
 @pytest.mark.parametrize("index", ["\u0662", "1_0", " 2"])
 def test_ratio_index_takes_ascii_digits_only(tmp_path, capsys, index):
     path = write(tmp_path, "m.txt", TWO_STATE)

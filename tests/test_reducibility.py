@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import equilib.reducibility as reducibility
 from equilib import (
     closed_form_2,
     communicating_classes,
@@ -298,3 +299,109 @@ def test_closed_class_count_matches_unit_eigenvalue_multiplicity():
         eigs = np.linalg.eigvals(m)
         multiplicity = int(np.sum(np.abs(eigs - 1.0) < 1e-8))
         assert report.n_closed == multiplicity
+
+
+# --- the class pass across byte and word boundaries ----------------------------
+
+def relabelled_digraph(rng, n):
+    """Neighbor sets of a digraph on ``n`` states, relabelled at random:
+    strongly connected blocks with no edge out, sparse or dense inside,
+    and transitory states with one to three edges anywhere."""
+    n_free = rng.randint(0, n // 2)
+    sizes, left = [], n - n_free
+    while left:
+        sizes.append(rng.randint(1, left))
+        left -= sizes[-1]
+    adj = [set() for _ in range(n)]
+    lo = n_free
+    for size in sizes:
+        density = rng.choice([0.0, 0.05, 0.5, 1.0])
+        for i in range(lo, lo + size):
+            adj[i].add(lo + (i - lo + 1) % size)
+            adj[i].update(j for j in range(lo, lo + size)
+                          if rng.random() < density)
+        lo += size
+    for i in range(n_free):
+        adj[i].update(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabelled = [None] * n
+    for i in range(n):
+        relabelled[perm[i]] = {perm[j] for j in adj[i]}
+    return relabelled
+
+
+def kernel_forms(rng, adj):
+    """The digraph ``adj`` as the class pass takes it: a float matrix
+    (subnormal entries included), cleared exact rows with entries above
+    2**64, and a graph adjacency with multiplicities."""
+    n = len(adj)
+    p = np.zeros((n, n))
+    exact = [[0] * n for _ in range(n)]
+    graph = [[0] * n for _ in range(n)]
+    for i, out in enumerate(adj):
+        for j in out:
+            p[i, j] = rng.choice([5e-324, 1e-300, rng.random() + 0.1])
+            exact[i][j] = rng.randrange(2 ** 64, 2 ** 80)
+            graph[i][j] = rng.randint(1, 3)
+    return p, exact, graph
+
+
+def reachability(adj):
+    """``r[i, j]`` is true when ``j`` is reachable from ``i`` (itself
+    included): the transitive closure by repeated squaring."""
+    n = len(adj)
+    r = np.eye(n)
+    for i, out in enumerate(adj):
+        r[i, list(out)] = 1.0
+    while True:
+        nxt = (r @ r > 0).astype(float)
+        if (nxt == r).all():
+            return r > 0
+        r = nxt
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300])
+def test_class_pass_matches_networkx_and_reachability(n):
+    nx = pytest.importorskip("networkx")
+    rng = make_rng(1000 + n)
+    for _ in range(4):
+        adj = relabelled_digraph(rng, n)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((i, j) for i, out in enumerate(adj) for j in out)
+        classes = sorted(sorted(c)
+                         for c in nx.strongly_connected_components(g))
+        reach = reachability(adj)
+        closed = [set(np.flatnonzero(reach[c[0]])) == set(c)
+                  for c in classes]
+        transitory = sorted(v for c, ok in zip(classes, closed) if not ok
+                            for v in c)
+        for rows in kernel_forms(rng, adj):
+            report = reducibility._classes(rows)
+            assert report.classes == classes
+            assert report.closed_flags == closed
+            assert report.transitory_states == transitory
+
+
+def test_identity_has_one_closed_class_per_state():
+    n = 300
+    expected = [[i] for i in range(n)]
+    for p in (np.eye(n), [[int(i == j) for j in range(n)] for i in range(n)]):
+        report = reducibility._classes(p)
+        assert report.classes == expected
+        assert report.closed_flags == [True] * n
+        assert report.transitory_states == []
+    assert communicating_classes(np.eye(n)).n_closed == n
+
+
+def test_one_way_path_is_walked_without_recursion():
+    # a walk that recursed once per state would overflow the stack long
+    # before the end of the path
+    n = 5000
+    p = np.eye(n, k=1, dtype=bool)
+    p[-1, -1] = True
+    report = reducibility._classes(p)
+    assert report.classes == [[i] for i in range(n)]
+    assert report.closed_flags == [False] * (n - 1) + [True]
+    assert report.transitory_states == list(range(n - 1))

@@ -353,16 +353,16 @@ def test_dense_undirected_walk_is_proportional_to_degree(relabel):
 
 
 def test_degenerate_chain_decomposes_the_full_chain_once(monkeypatch):
-    import equilib.reducibility as reducibility
+    import equilib.equilibrium as equilibrium
 
     sizes = []
-    decompose = reducibility._decompose
+    classes = equilibrium._classes
 
-    def counting(adj):
-        sizes.append(len(adj))
-        return decompose(adj)
+    def counting(rows):
+        sizes.append(len(rows))
+        return classes(rows)
 
-    monkeypatch.setattr(reducibility, "_decompose", counting)
+    monkeypatch.setattr(equilibrium, "_classes", counting)
     res = stationary([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 4), F(1, 4)]])
     assert not res.unique
     # once on the chain; the closed classes are irreducible by construction

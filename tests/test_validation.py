@@ -122,17 +122,16 @@ def test_polytope_vertices_equal_stationary_of_each_closed_class():
 
 
 def test_closed_classes_get_no_second_class_pass(monkeypatch):
-    import equilib.reducibility as reducibility
+    import equilib.equilibrium as equilibrium
 
     sizes = []
-    scc = reducibility._strongly_connected_components
+    classes = equilibrium._classes
 
-    def counting(adj):
-        sizes.append(len(adj))
-        return scc(adj)
+    def counting(rows):
+        sizes.append(len(rows))
+        return classes(rows)
 
-    monkeypatch.setattr(reducibility, "_strongly_connected_components",
-                        counting)
+    monkeypatch.setattr(equilibrium, "_classes", counting)
     rows = [[F(1, 2), F(1, 2), 0, 0], [F(1, 3), F(2, 3), 0, 0],
             [0, 0, 0, 1], [0, 0, 1, 0]]
     report = equilibrium_polytope(rows)
