@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,20 +62,6 @@ _LITERAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?"
 
 class ParseError(ValueError):
     """Malformed or invalid input text."""
-
-
-@dataclass
-class InputDocument:
-    kind: str                      # "matrix" or "graph"
-    mode: str
-    matrix: StochasticMatrix = None
-    graph: Graph = None
-
-    def stochastic(self):
-        if self.kind == "graph":
-            wm = walk_matrix(self.graph)
-            return wm.to_float() if self.mode == FLOAT else wm
-        return self.matrix
 
 
 def _literal(x):
@@ -137,7 +122,7 @@ def _state_index(text):
     """A ``ratio`` state index argument, in the integer grammar of counts."""
     if not _COUNT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    return _count(text, "state index", argparse.ArgumentTypeError)
 
 
 def _tolerance(text):
@@ -152,14 +137,14 @@ def _tolerance(text):
     return tol
 
 
-def _count(text, lineno, what):
-    """A graph text field that matched the integer grammar of counts."""
+def _count(text, what, error=ParseError):
+    """A field that matched the integer grammar of counts, as an int; one
+    past the int digit limit raises ``error`` naming ``what``."""
     try:
         return int(text)
-    except ValueError:  # past the int digit limit
-        raise ParseError(
-            f"line {lineno}: {what} exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit limit") from None
+    except ValueError:
+        raise error(f"{what} exceeds the "
+                    f"{sys.get_int_max_str_digits()}-digit limit") from None
 
 
 def _any_decimal(rows, where):
@@ -206,7 +191,7 @@ def _parse_graph_text(lines):
             or not _COUNT_RE.fullmatch(parts[1]):
         raise ParseError(
             f"line {lineno}: expected a header 'nodes N', got {header!r}")
-    n = _count(parts[1], lineno, "node count")
+    n = _count(parts[1], f"line {lineno}: node count")
     if n < 1:
         raise ParseError(f"line {lineno}: node count must be positive")
     edges = []
@@ -218,7 +203,7 @@ def _parse_graph_text(lines):
             raise ParseError(
                 f"line {lineno}: expected an edge 'i j [multiplicity]', "
                 f"got {line!r}")
-        fields = [_count(p, lineno, "edge field") for p in parts]
+        fields = [_count(p, f"line {lineno}: edge field") for p in parts]
         i, j, m = fields if len(fields) == 3 else (*fields, 1)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(
@@ -285,12 +270,13 @@ def _parse(text, fmt, mode):
 
 
 def parse_input(text, fmt="auto", mode=None):
-    """Parse input text into an :class:`InputDocument`.
+    """Parse input text into a :class:`Graph` or a :class:`StochasticMatrix`.
 
     ``fmt`` is one of ``auto``, ``matrix``, ``graph`` (edge list or, when
     no ``nodes`` header is present, full adjacency rows) or ``json``.  When
     ``mode`` is ``None`` it is inferred: any decimal literal makes the
-    document float, otherwise it is exact.
+    document float, otherwise it is exact.  A graph comes back as a
+    :class:`Graph`, or as its float walk matrix when ``mode`` is float.
     """
     try:
         parsed = _parse(text, fmt, mode)
@@ -298,9 +284,9 @@ def parse_input(text, fmt="auto", mode=None):
         raise
     except ValueError as exc:  # the library's own checks of the rows
         raise ParseError(str(exc)) from exc
-    if isinstance(parsed, Graph):
-        return InputDocument(kind="graph", mode=mode or EXACT, graph=parsed)
-    return InputDocument(kind="matrix", mode=parsed.mode, matrix=parsed)
+    if isinstance(parsed, Graph) and mode == FLOAT:
+        return walk_matrix(parsed).to_float()
+    return parsed
 
 
 def _read_source(path):
@@ -383,11 +369,12 @@ def _emit(args, lines, payload):
 # ---------------------------------------------------------------------------
 
 def _cmd_stationary(doc, args):
-    if doc.kind == "graph":
-        res = graph_stationary(doc.graph).result
+    if isinstance(doc, Graph):
+        res, mode = graph_stationary(doc).result, EXACT
     else:
-        res = stationary(_working_matrix(doc, args))
-    payload = {"kind": "stationary", "mode": doc.mode,
+        sm = _working_matrix(doc, args)
+        res, mode = stationary(sm), sm.mode
+    payload = {"kind": "stationary", "mode": mode,
                "weights": _json_vector(res.weights)}
     if res.unique:
         payload["variant"] = "unique"
@@ -403,9 +390,9 @@ def _cmd_stationary(doc, args):
 
 
 def _cmd_weights(doc, args):
-    if doc.kind == "graph":
-        ge = graph_stationary(doc.graph)
-        payload = {"kind": "weights", "mode": doc.mode,
+    if isinstance(doc, Graph):
+        ge = graph_stationary(doc)
+        payload = {"kind": "weights", "mode": EXACT,
                    "numerators": list(ge.numerators),
                    "denominator": ge.denominator}
         lines = [f"numerators = {_fmt_vector(ge.numerators)}",
@@ -418,9 +405,10 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    w, pi, _ = _weights(*_working_matrix(doc, args)._chain)
+    sm = _working_matrix(doc, args)
+    w, pi, _ = _weights(*sm._chain)
     total = w.sum()
-    payload = {"kind": "weights", "mode": doc.mode,
+    payload = {"kind": "weights", "mode": sm.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
     lines = [f"w = {_fmt_vector(w)}", f"total = {_fmt_scalar(total)}"]
     _emit(args, lines, payload)
@@ -539,7 +527,7 @@ def _cmd_compare(doc, args):
     lines = [f"{'method':<14} {'pi':<40} {'residual':<12} seconds"]
     for name, vec, resid, secs in rows:
         lines.append(f"{name:<14} {vec:<40} {resid:<12} {secs}")
-    payload = {"kind": "compare", "mode": doc.mode,
+    payload = {"kind": "compare", "mode": sm.mode,
                "methods": payload_methods}
     if len(pis) >= 2:
         names = sorted(pis)
@@ -554,7 +542,7 @@ def _cmd_compare(doc, args):
 
 def _working_matrix(doc, args):
     """The stochastic matrix a command operates on, perturbed if requested."""
-    sm = doc.stochastic()
+    sm = walk_matrix(doc) if isinstance(doc, Graph) else doc
     if args.epsilon is not None:
         sm = perturb(sm, _scalar(args.epsilon, sm.mode, "--epsilon value"))
     return sm
@@ -636,10 +624,9 @@ def main(argv=None):
     try:
         doc = parse_input(_read_source(args.source), fmt=args.format,
                           mode=mode)
-        if doc.kind == "graph" and (doc.mode == FLOAT
-                                       or args.epsilon is not None):
-            # only an exact, unperturbed graph takes the integer walk path
-            doc = InputDocument("matrix", doc.mode, matrix=doc.stochastic())
+        if isinstance(doc, Graph) and args.epsilon is not None:
+            # only an unperturbed graph takes the integer walk path
+            doc = walk_matrix(doc)
         return _COMMANDS[args.command](doc, args)
     except ZeroOutDegreeError as exc:
         print(f"error: node {exc.node + 1} has no outgoing edges; "

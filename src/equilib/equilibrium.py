@@ -359,8 +359,10 @@ def _closed_form_result(values, bands, mode):
 
     Exact weights all vanish exactly when there are several closed classes,
     so a nonzero total gives ``pi = w / total``.  Any other chain takes the
-    solve path, keeping the formula weights: float ``pi`` comes from the GTH
-    kernel, with its entrywise accuracy, as formula weights may underflow.
+    solve path, keeping the formula weights where the kernel's are nonzero:
+    float ``pi`` comes from the GTH kernel, with its entrywise accuracy, as
+    formula weights may underflow, and the class structure, not rounding,
+    decides which weights vanish.
     """
     if mode == EXACT:
         w = np.array(values, dtype=object)
@@ -369,7 +371,8 @@ def _closed_form_result(values, bands, mode):
             return EquilibriumResult(weights=w, pi=w / total)
     else:  # the true weights are nonnegative; slack and rounding are not
         w = np.clip(np.array(values, dtype=float), 0.0, None)
-    return replace(_solve(*matrix_from_bands(bands, mode)._chain), weights=w)
+    res = _solve(*matrix_from_bands(bands, mode)._chain)
+    return replace(res, weights=np.where(res.weights == 0, res.weights, w))
 
 
 def closed_form_2(p, q):

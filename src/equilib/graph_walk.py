@@ -73,6 +73,8 @@ class Graph:
     def __init__(self, adjacency):
         a = _square_rows(adjacency)
         rows = a.tolist() if isinstance(a, np.ndarray) else a
+        if not rows:
+            raise ValueError("a graph needs at least one node")
         self.adjacency = [
             [x if type(x) is int and x >= 0 else _edge_count(x, i, j)
              for j, x in enumerate(row)]

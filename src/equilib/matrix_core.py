@@ -10,9 +10,8 @@ Matrices live in one of two scalar modes:
   integers: each row is scaled by the lcm of its denominators, and the
   matrix carries those integer-cleared rows for the class analysis and the
   weight kernel.
-* ``"float"``  -- entries are ``float64``.  Determinants use Gaussian
-  elimination with partial pivoting; a pivot smaller than ``1e-14`` times the
-  matrix row norm is treated as a structural zero.
+* ``"float"``  -- entries are ``float64``.  Determinants come from LAPACK's
+  LU factorization (``numpy.linalg.det``), rounded like any float product.
 
 A computation never mixes the two modes.  Non-finite entries are rejected.
 The stationary weights do not use these determinants: one O(n^3) state
@@ -27,8 +26,6 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
-# pivot below this multiple of the matrix row norm counts as structurally zero
-FLOAT_PIVOT_RTOL = 1e-14
 # slack used by float-mode sign tests (Z-matrix check, band parameters)
 FLOAT_SIGN_SLACK = 1e-12
 # StochasticMatrix validation tolerances (float mode)
@@ -66,10 +63,11 @@ def matrix_mode(a):
 def _square_rows(data):
     """``data`` as an ndarray or a list of rows, checked to be square.
 
-    A nonempty list of ``n`` list rows is checked row by row, so a ragged
-    row is reported by its index rather than by numpy's shape inference.
+    A list of ``n`` list rows is checked row by row, so a ragged row is
+    reported by its index rather than by numpy's shape inference; an empty
+    list is the 0x0 matrix.
     """
-    if isinstance(data, (list, tuple)) and data and all(
+    if isinstance(data, (list, tuple)) and all(
         isinstance(row, (list, tuple)) for row in data
     ):
         n = len(data)
@@ -199,46 +197,21 @@ def clear_denominators(a):
     return rows, factors
 
 
-def _exact_determinant(a):
+def _determinant(a):
+    """Determinant of a square ndarray from :func:`_square`, in its mode."""
+    if matrix_mode(a) == FLOAT:
+        return float(np.linalg.det(a))
     rows, factors = clear_denominators(a)
     return Fraction(int_determinant(rows), math.prod(factors))
-
-
-def _float_determinant(a):
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    m = np.array(a, dtype=float)
-    norm = np.abs(m).sum(axis=1).max()
-    if norm == 0.0:
-        return 0.0
-    cutoff = FLOAT_PIVOT_RTOL * norm
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[piv, k]) <= cutoff:
-            return 0.0
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-            det = -det
-        det *= m[k, k]
-        if k + 1 < n:
-            m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
-    return float(det)
-
-
-def _determinant(a):
-    if matrix_mode(a) == EXACT:
-        return _exact_determinant(a)
-    return _float_determinant(a)
 
 
 def determinant(m):
     """Determinant of a square matrix in its scalar mode.
 
     Exact mode returns a :class:`~fractions.Fraction` computed without any
-    rounding; float mode returns a ``float`` from partially pivoted
-    elimination.  The 0x0 determinant is 1 by convention.
+    rounding; float mode returns the ``float`` of LAPACK's partially pivoted
+    LU factorization, with no threshold: a nearly singular matrix gets its
+    rounded determinant, not 0.  The 0x0 determinant is 1 by convention.
     """
     return _determinant(_square(m))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equilib import StochasticMatrix, verify_equilibrium
+from equilib import Graph, StochasticMatrix, verify_equilibrium
 from equilib.cli import main, parse_input, ParseError
 
 F = Fraction
@@ -35,47 +35,47 @@ def write(tmp_path, name, text):
 
 def test_parse_matrix_rational_literals():
     doc = parse_input("1/3 2/3\n2/3 1/3\n")
-    assert doc.kind == "matrix"
+    assert isinstance(doc, StochasticMatrix)
     assert doc.mode == "exact"
-    assert doc.matrix.p[0, 1] == F(2, 3)
+    assert doc.p[0, 1] == F(2, 3)
 
 
 def test_parse_matrix_decimals_infer_float():
     doc = parse_input("0.25, 0.75\n0.5, 0.5\n")
     assert doc.mode == "float"
-    assert doc.matrix.p[0, 0] == 0.25
+    assert doc.p[0, 0] == 0.25
 
 
 def test_parse_matrix_mode_override_exactifies_decimals():
     doc = parse_input("0.1 0.9\n0.5 0.5\n", mode="exact")
     assert doc.mode == "exact"
-    assert doc.matrix.p[0, 0] == F(1, 10)
+    assert doc.p[0, 0] == F(1, 10)
 
 
 def test_parse_graph_edge_list():
     doc = parse_input(PATH_GRAPH)
-    assert doc.kind == "graph"
-    assert doc.graph.adjacency == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert isinstance(doc, Graph)
+    assert doc.adjacency == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_parse_graph_adjacency_rows():
     doc = parse_input("0 1\n1 0\n", fmt="graph")
-    assert doc.kind == "graph"
-    assert doc.graph.adjacency == [[0, 1], [1, 0]]
+    assert isinstance(doc, Graph)
+    assert doc.adjacency == [[0, 1], [1, 0]]
 
 
 def test_parse_json_matrix_document():
     doc = parse_input(json.dumps(
         {"kind": "matrix", "n": 2, "rows": [["1/3", "2/3"], ["1", "0"]]}))
     assert doc.mode == "exact"
-    assert doc.matrix.p[0, 0] == F(1, 3)
+    assert doc.p[0, 0] == F(1, 3)
 
 
 def test_parse_json_graph_document():
     doc = parse_input(json.dumps(
         {"kind": "graph", "n": 2, "rows": [[0, 2], [1, 0]]}))
-    assert doc.kind == "graph"
-    assert doc.graph.adjacency == [[0, 2], [1, 0]]
+    assert isinstance(doc, Graph)
+    assert doc.adjacency == [[0, 2], [1, 0]]
 
 
 def test_parse_malformed_literal_reports_position():
@@ -548,6 +548,35 @@ def test_ratio_index_takes_ascii_digits_only(tmp_path, capsys, index):
     assert code == 1
     assert out == ""
     assert f"error: argument i: invalid int value: {index!r}" in err
+
+
+@pytest.mark.parametrize("index, argv", [("i", ["1" * 5000, "1"]),
+                                         ("j", ["1", "2" * 5000])])
+def test_ratio_index_past_the_int_digit_limit_is_named(tmp_path, capsys,
+                                                       index, argv):
+    path = write(tmp_path, "m.txt", TWO_STATE)
+    code, out, err = run(capsys, "ratio", *argv, path)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: argument {index}: state index exceeds the "
+                        "4300-digit limit\n")
+    assert "1" * 100 not in err and "2" * 100 not in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("graph", "a graph needs at least one node"),
+    ("matrix", "a stochastic matrix needs at least one state")])
+def test_empty_json_document_is_rejected(tmp_path, capsys, kind, message):
+    path = write(tmp_path, "m.json", json.dumps({"kind": kind, "rows": []}))
+    assert run(capsys, "stationary", path) == (1, "", f"error: {message}\n")
+
+
+def test_parse_graph_in_float_mode_gives_its_float_walk_matrix():
+    doc = parse_input(PATH_GRAPH, mode="float")
+    assert isinstance(doc, StochasticMatrix)
+    assert doc.mode == "float"
+    assert doc.p.tolist() == [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5],
+                              [0.0, 1.0, 0.0]]
 
 
 @pytest.mark.parametrize("command, text, payload", [

@@ -24,6 +24,7 @@ from equilib import (
 )
 from support import (
     exact_rows_of,
+    in_tree_weights,
     make_rng,
     random_band_params,
     stationary_reference,
@@ -325,3 +326,17 @@ def test_float_closed_forms_take_the_solve_path():
                         res.decomposition.vertex_equilibria] == [
                     v.tobytes() for v in
                     general.decomposition.vertex_equilibria]
+
+
+def test_float_five_state_weights_vanish_by_structure():
+    # an LU of a transitory state's minor may round to 1e-16 instead of 0;
+    # the class structure sets that weight to 0
+    rng = make_rng(308)
+    for _ in range(40):
+        bands = [[float(x) for x in band]
+                 for band in random_band_params(rng, 5, max_den=4)]
+        res = closed_form_5(*flat(bands))
+        exact = in_tree_weights(matrix_from_bands(
+            [[F(x) for x in band] for band in bands]).p.tolist())
+        for w, ref in zip(res.weights, exact):
+            assert w == 0.0 if ref == 0 else abs(F(w) - ref) <= 1e-10 * ref

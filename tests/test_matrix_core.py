@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilib import (
+    Graph,
     StochasticMatrix,
     adjugate,
     clear_denominators,
@@ -82,6 +83,38 @@ def test_float_determinant_structural_zero():
     # second row is an exact copy of the first
     m = np.array([[0.3, 0.7], [0.3, 0.7]])
     assert determinant(m) == 0.0
+
+
+def test_empty_list_is_the_0x0_matrix():
+    assert determinant([]) == 1
+    assert adjugate([]).shape == (0, 0)
+    with pytest.raises(ValueError,
+                       match="a stochastic matrix needs at least one state"):
+        StochasticMatrix([])
+    with pytest.raises(ValueError, match="a graph needs at least one node"):
+        Graph([])
+
+
+def test_float_determinant_near_singularity_is_its_rounded_value():
+    # no threshold: these floats have determinant 2 * 5 * 2^-52, not 0
+    m = [[1.0, 1.0, 0.0], [1.0, 1 + 1e-15, 0.0], [0.0, 0.0, 2.0]]
+    exact = [[F(x) for x in row] for row in m]
+
+    def cofactor(i, j):
+        return (-1) ** (i + j) * det_cofactor(
+            [r[:j] + r[j + 1:] for k, r in enumerate(exact) if k != i])
+
+    def close(x, ref):
+        return x == ref == 0 or abs(F(x) - ref) <= F(1e-12) * abs(ref)
+
+    two = [row[:2] for row in m[:2]]
+    assert determinant(two) == pytest.approx(1.1102230246251565e-15,
+                                             rel=1e-12)
+    assert close(determinant(m), det_cofactor(exact))
+    assert close(minor(m, 2, 2), cofactor(2, 2))
+    adj = adjugate(m)
+    assert all(close(adj[j][i], cofactor(i, j))
+               for i in range(3) for j in range(3))
 
 
 def test_float_exact_agreement_small_denominators():
