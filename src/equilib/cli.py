@@ -16,6 +16,7 @@ chain, 1 for errors.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -567,6 +568,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="equilib",

@@ -7,10 +7,11 @@ are several.  So the class structure decides first.  With one closed class
 ``pi = w / sum(w)`` is the unique stationary vector; with several, the full
 solution set is reported instead of an error.
 
-All weights come from one O(n^3) state-reduction pass (GTH): the product of
-its pivots is ``w_r`` for a root ``r`` and back-substitution gives every
-``w_i = w_r * x_i``.  Float ``pi`` is normalized from ``x``, so it keeps
-entrywise relative accuracy where the weights underflow.
+All weights come from one O(n^3) state-reduction pass (GTH) in one order in
+both scalar fields: the product of its pivots is ``w_r`` for a root ``r``
+and back-substitution gives every ``w_i = w_r * x_i``.  Float ``pi`` is
+normalized from ``x``, so it keeps entrywise relative accuracy where the
+weights underflow.
 
 Every chain reaches that pass as ``(rows, factors)``: a float matrix as
 ``(p, None)``, an exact one as its integer-cleared rows and their lcm
@@ -19,10 +20,10 @@ class pass, the kernel and, for several closed classes, the polytope
 vertices, one kernel run per closed class; only the kernel, slicing the
 rows in and giving Fractions or floats out, depends on the scalar field.
 
-The closed-form functions for 2..5 states evaluate the same weights from
-the paper's formulas in the banded parameterization (see
+The closed-form functions for 2..5 states evaluate the same exact weights
+from the paper's formulas in the banded parameterization (see
 :func:`matrix_from_bands`), as independent cross-checks of the kernel; a
-float or degenerate chain takes the solve path for ``pi`` and its vertices.
+float or degenerate chain takes the solve path whole.
 """
 
 import math
@@ -39,8 +40,6 @@ from .matrix_core import (
     determinant,
 )
 from .reducibility import DecompositionReport, _classes
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -68,38 +67,38 @@ class EquilibriumResult:
         return self.pi is not None
 
 
-def _state_reduction(q, n_transitory, order):
+def _state_reduction(q):
     """Principal minors of the Laplacian of a rate matrix, by one GTH pass.
 
     ``q`` holds nonnegative rates, Python ints in an object array (exact)
     or float64; its diagonal is never read.  Its Laplacian is ``I - P`` for
-    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  Its rows and
-    columns are the states ``order``: ``n_transitory`` transitory ones,
-    then one closed class.  Returns ``(minors, x)`` in that order, ``x``
-    proportional to the minors.  The transitory states are eliminated
-    first, then all of the closed class but a root ``r``; a pivot is the sum
-    of its state's remaining rates, so nothing is subtracted.  Exact mode is
-    fraction-free: each update divides exactly by the previous pivot, the
-    last pivot is the minor at ``r`` and ``x`` is the integer minors.  Float
-    mode next eliminates a state whose remaining rate is at least half the
-    largest, keeping the heavy states to the end so that no pivot
-    underflows on a drifting chain (it swaps ``q`` and ``order`` in place).
-    It is left-looking: the trailing block is never written; the next
-    state's row and column take in the earlier eliminations as two
-    matrix-vector products, still sums of nonnegative products, and the row
-    over its pivot is stored in place.  ``x`` is scaled by powers of two to
-    ``max(x) <= 1``, and the minors are the pivot product times ``x``, which
-    may underflow where ``x`` does not.
+    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  Its states are
+    the transitory ones, then one closed class ending in the root ``r``, and
+    every state but ``r`` is eliminated in that order.  Returns ``(minors,
+    x)``, ``x`` proportional to the minors.  A pivot is the sum of its
+    state's remaining rates, so nothing is subtracted.  Exact mode is
+    fraction-free: each update divides exactly by the previous pivot, and
+    ``x`` is the integer minors.  Float mode is left-looking: the trailing
+    block is never written; the next state's row and column take in the
+    earlier eliminations as two matrix-vector products, and the row over
+    its pivot is stored in place.  Its one range device is binary
+    exponents: row ``i`` is scaled by ``2^-e_i`` to a rate sum in
+    ``[1, 2)``, exactly, as no rate is scaled down, which scales minor
+    ``i`` by ``2^(e_i - sum(e))``; in back-substitution ``x_i`` takes an
+    exponent of its own where it leaves ``[2^-500, 2^500]``, so ``x`` may
+    fall and grow again across a valley; and the minors are the pivot
+    product times ``x``, the exponents summed apart from the mantissas.  A
+    pivot that underflows to zero raises ``ValueError``.
     """
     n = q.shape[0]
     exact = q.dtype == object
     if not exact:
         np.fill_diagonal(q, 0.0)
-        rates = q.sum(axis=1)
+        e = np.frexp(q.sum(axis=1))[1] - 1
+        np.ldexp(q, -e[:, None], out=q)
     pivots = []
     prev = 1
     for k in range(n - 1):
-        # views into q: the float swaps below write through them
         col, row = q[k + 1:, k], q[k, k + 1:]
         if exact:
             pivot = row.sum()
@@ -107,38 +106,41 @@ def _state_reduction(q, n_transitory, order):
                                  + np.outer(col, row)) // prev
             prev = pivot
         else:
-            end = n_transitory if k < n_transitory else n
-            c = k + int(np.argmax(rates[k:end]))
-            if rates[k] < 0.5 * rates[c]:
-                q[[k, c]] = q[[c, k]]
-                q[:, [k, c]] = q[:, [c, k]]
-                rates[[k, c]] = rates[[c, k]]
-                order[k], order[c] = order[c], order[k]
             row += q[k, :k] @ q[:k, k + 1:]
             col += q[k + 1:, :k] @ q[:k, k]
-            pivot = row.sum()
-            if not pivot >= _TINY:
-                raise ValueError(
-                    "transition rates underflow double precision; "
-                    "solve this chain in exact mode")
+            pivot = float(row.sum())
+            if not pivot > 0:
+                raise ValueError("transition rates underflow double "
+                                 "precision; solve this chain in exact mode")
             row /= pivot
-            rates[k + 1:] -= col * row
         pivots.append(pivot)
     x = np.empty(n, dtype=q.dtype)
     x[n - 1] = prev if exact else 1.0
-    shift = 0
+    f = np.zeros(n, dtype=int)  # float x_k stands for x[k] * 2^f[k]
+    spread = False
     for k in range(n - 2, -1, -1):
-        s = q[k + 1:, k] @ x[k + 1:]
-        x[k] = s // pivots[k] if exact else s / pivots[k]
-        if not exact and x[k] > 1.0:
-            e = math.frexp(x[k])[1]
-            x[k:] = np.ldexp(x[k:], -e)
-            shift += e
+        c = q[k + 1:, k]
+        if spread:
+            # terms aligned to the largest exponent among nonzero rates; a
+            # shift above 0 meets a zero rate, and inf * 0 would give NaN
+            f[k] = np.max(f[k + 1:], where=c != 0, initial=f[k + 1:].min())
+            s = c @ np.ldexp(x[k + 1:], np.minimum(f[k + 1:] - f[k], 0))
+        else:
+            s = c @ x[k + 1:]
+        # in Python floats, an overflow to inf is caught below, unwarned
+        x[k] = s // pivots[k] if exact else float(s) / pivots[k]
+        if not exact and s and not 2.0 ** -500 <= x[k] <= 2.0 ** 500:
+            (ms, es), (mp, ep) = math.frexp(s), math.frexp(pivots[k])
+            x[k] = ms / mp
+            f[k] += es - ep
+            spread = True
     if exact:
         return x, x
-    # the pivot product, its binary exponents summed apart from the mantissas
-    m, e = np.frexp(pivots)
-    return np.ldexp(np.prod(m) * x, int(e.sum()) + shift), x
+    m, h = np.frexp(x)
+    h = h + f - e
+    pm, pe = np.frexp(pivots)
+    return (np.ldexp(np.prod(pm) * m, h + int(pe.sum() + e.sum())),
+            np.ldexp(m, h - np.max(h, where=m != 0, initial=h[-1])))
 
 
 def _kernel(rows, factors, report):
@@ -162,7 +164,7 @@ def _kernel(rows, factors, report):
                      dtype=object)
     else:
         q = rows[np.ix_(order, order)]
-    minors, x = _state_reduction(q, len(report.transitory_states), order)
+    minors, x = _state_reduction(q)
     pi = w.copy()
     if exact:
         scaled = [m * factors[i] for m, i in zip(minors, order)]
@@ -171,12 +173,10 @@ def _kernel(rows, factors, report):
         total = sum(scaled)
         pi[order] = [Fraction(s, total) for s in scaled]
     else:
-        order = np.array(order)
         w[order] = minors
         pi[order] = x
         # summed in index order, as numpy sums a chain of these states alone
-        order.sort()
-        pi /= pi[order].sum()
+        pi /= pi[sorted(order)].sum()
     return w, pi
 
 
@@ -354,25 +354,21 @@ def _bands(values, n):
     return bands, mode
 
 
-def _closed_form_result(values, bands, mode):
-    """The result of the chain ``bands`` with formula weights ``values``.
+def _closed_form_result(weights, bands, mode):
+    """The result of the chain ``bands`` with formula weights ``weights()``.
 
-    Exact weights all vanish exactly when there are several closed classes,
-    so a nonzero total gives ``pi = w / total``.  Any other chain takes the
-    solve path, keeping the formula weights where the kernel's are nonzero:
-    float ``pi`` comes from the GTH kernel, with its entrywise accuracy, as
-    formula weights may underflow, and the class structure, not rounding,
-    decides which weights vanish.
+    The formula is evaluated in exact mode only.  Exact weights all vanish
+    exactly when there are several closed classes, so a nonzero total gives
+    ``pi = w / total``.  Any other chain takes the solve path whole: float
+    weights and ``pi`` come from the GTH kernel, with its entrywise
+    accuracy, and the class structure decides which weights vanish.
     """
     if mode == EXACT:
-        w = np.array(values, dtype=object)
+        w = np.array(weights(), dtype=object)
         total = w.sum()
         if total != 0:
             return EquilibriumResult(weights=w, pi=w / total)
-    else:  # the true weights are nonnegative; slack and rounding are not
-        w = np.clip(np.array(values, dtype=float), 0.0, None)
-    res = _solve(*matrix_from_bands(bands, mode)._chain)
-    return replace(res, weights=np.where(res.weights == 0, res.weights, w))
+    return _solve(*matrix_from_bands(bands, mode)._chain)
 
 
 def closed_form_2(p, q):
@@ -384,7 +380,7 @@ def closed_form_2(p, q):
     """
     bands, mode = _bands([p, q], 2)
     (p,), (q,) = bands
-    return _closed_form_result([q, p], bands, mode)
+    return _closed_form_result(lambda: [q, p], bands, mode)
 
 
 def closed_form_3(p1, p2, q1, q2, r1, r2):
@@ -401,9 +397,10 @@ def closed_form_3(p1, p2, q1, q2, r1, r2):
     """
     bands, mode = _bands([p1, p2, q1, q2, r1, r2], 3)
     (p1, p2), (q1, q2), (r1, r2) = bands
-    return _closed_form_result([q1 * r1 + q2 * r1 + q2 * r2,
-                                r1 * p1 + r2 * p1 + r2 * p2,
-                                p1 * q1 + p2 * q1 + p2 * q2], bands, mode)
+    return _closed_form_result(lambda: [q1 * r1 + q2 * r1 + q2 * r2,
+                                        r1 * p1 + r2 * p1 + r2 * p2,
+                                        p1 * q1 + p2 * q1 + p2 * q2],
+                               bands, mode)
 
 
 # the 16 monomials of the first four-state weight, as (a, b, c) exponents
@@ -426,10 +423,10 @@ def closed_form_4(p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3):
     three rows; the rows rotate cyclically from one weight to the next.
     """
     bands, mode = _bands([p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3], 4)
-    return _closed_form_result(
-        [sum(a[x - 1] * b[y - 1] * c[z - 1]
-             for x, y, z in _W4_FIRST_WEIGHT_TERMS)
-         for a, b, c in ((bands * 2)[i + 1:i + 4] for i in range(4))],
+    return _closed_form_result(lambda: [
+        sum(a[x - 1] * b[y - 1] * c[z - 1]
+            for x, y, z in _W4_FIRST_WEIGHT_TERMS)
+        for a, b, c in ((bands * 2)[i + 1:i + 4] for i in range(4))],
         bands, mode)
 
 
@@ -451,7 +448,7 @@ def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
         laplacian[i][i] = sum(band)
         for k, x in enumerate(band, start=1):
             laplacian[i][(i + k) % 5] = -x
-    return _closed_form_result(
-        [determinant([[row[j] for j in range(5) if j != i]
-                      for row in laplacian[:i] + laplacian[i + 1:]])
-         for i in range(5)], bands, mode)
+    return _closed_form_result(lambda: [
+        determinant([[row[j] for j in range(5) if j != i]
+                     for row in laplacian[:i] + laplacian[i + 1:]])
+        for i in range(5)], bands, mode)

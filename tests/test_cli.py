@@ -98,6 +98,11 @@ def test_parse_graph_index_out_of_range():
         parse_input("nodes 2\n1 3\n")
 
 
+def test_parse_graph_negative_multiplicity():
+    with pytest.raises(ParseError, match="^line 3: negative multiplicity$"):
+        parse_input("nodes 2\n1 2\n2 1 -1\n")
+
+
 # --- subcommands -----------------------------------------------------------------
 
 def test_stationary_unique_text_and_exit_code(tmp_path, capsys):
@@ -156,6 +161,19 @@ def test_weights_on_graph_shows_integers(tmp_path, capsys):
     assert "numerators = [1, 2, 1]" in out
     assert "denominator = 4" in out
     assert "pi = [1/4, 1/2, 1/4]" in out
+
+
+def test_weights_on_degenerate_graph_exit_two(tmp_path, capsys):
+    # two disjoint 2-cycles: two closed classes, every numerator vanishes
+    path = write(tmp_path, "g.txt", "nodes 4\n1 2\n2 1\n3 4\n4 3\n")
+    code, out, _ = run(capsys, "weights", path)
+    assert code == 2
+    assert out == ("numerators = [0, 0, 0, 0]\ndenominator = 0\n"
+                   "degenerate chain: all weights vanish\n")
+    code, out, _ = run(capsys, "weights", "--json", path)
+    assert code == 2
+    assert json.loads(out) == {"kind": "weights", "mode": "exact",
+                               "numerators": [0, 0, 0, 0], "denominator": 0}
 
 
 def test_graph_stationary_command(tmp_path, capsys):

@@ -340,3 +340,17 @@ def test_float_five_state_weights_vanish_by_structure():
             [[F(x) for x in band] for band in bands]).p.tolist())
         for w, ref in zip(res.weights, exact):
             assert w == 0.0 if ref == 0 else abs(F(w) - ref) <= 1e-10 * ref
+
+
+def test_float_five_state_weights_keep_relative_accuracy():
+    # float weights come from the GTH kernel, not from LU determinants of
+    # the banded minors, whose diagonals cancel against parameters 1e8
+    # times smaller
+    rng = make_rng(9)
+    for _ in range(200):
+        bands = [[float(x) * rng.choice((1.0, 1e-8)) for x in band]
+                 for band in random_band_params(rng, 5)]
+        res = closed_form_5(*flat(bands))
+        exact = in_tree_weights(exact_rows_of(matrix_from_bands(bands).p))
+        for w, ref in zip(res.weights, exact):
+            assert w == 0.0 if ref == 0 else abs(F(w) - ref) <= 1e-12 * ref

@@ -8,6 +8,7 @@ closed-form answers such as the uniform vector of a cycle.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from equilib import (
     Graph,
     graph_stationary,
     int_determinant,
+    matrix_from_bands,
     minor_weights,
     principal_minor,
     relative_probability,
@@ -238,18 +240,31 @@ def test_eps_coupled_blocks_keep_relative_accuracy(eps):
     assert rel <= 1e-9
 
 
-def test_subnormal_coupling_asks_for_exact_mode(tmp_path, capsys):
-    # a subnormal coupling is still an edge, but its rate is below the
-    # smallest normal float, so the float kernel refuses the chain
+def assert_matches(pi, ref):
+    """``pi`` against the exact answer ``ref``: within 1e-9 relative on
+    entries above 1e-290, exact zeros kept."""
+    for x, r in zip(pi, ref):
+        if r > 1e-290:
+            assert abs(x / float(r) - 1) <= 1e-9
+        elif r == 0:
+            assert x == 0
+        else:
+            assert 0.0 <= x <= 1e-280
+
+
+def test_subnormal_coupling_keeps_relative_accuracy(tmp_path, capsys):
+    # a subnormal coupling is still an edge: the pivot it leaves is
+    # subnormal but positive, and its 46 bits keep pi accurate
     p = eps_coupled(5e-310)
     assert np.count_nonzero(p[0, 8:]) == 1
-    with pytest.raises(ValueError, match="exact mode"):
-        stationary(p)
+    res = stationary(p)
+    assert res.unique
+    assert_matches(res.pi, stationary_reference(exact_rows_of(p)))
     path = tmp_path / "m.txt"
     path.write_text("\n".join(" ".join(repr(float(x)) for x in row)
                               for row in p))
-    assert main(["stationary", str(path)]) == 1
-    assert "exact mode" in capsys.readouterr().err
+    assert main(["stationary", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def birth_death(n, up, down):
@@ -295,9 +310,15 @@ def test_drifting_chain_keeps_pi_finite_and_accurate(n, up, down, relabel):
             assert 0.0 <= x <= 1e-280
 
 
-def test_float_rates_below_double_precision_raise():
-    # two heavy ends behind a drift barrier: the rate of crossing it, about
-    # 9^-340, is not a float, so neither is the ratio of the two masses
+def relabelled(p, rng):
+    perm = rng.permutation(len(p))
+    return p[np.ix_(perm, perm)], perm
+
+
+def test_drift_barrier_keeps_relative_accuracy():
+    # two heavy ends behind a drift barrier: x = pi / pi_root falls to about
+    # 9^-340 in the middle and grows again on the far side, which takes
+    # exponents per entry of x; the relabelled copy mixes the two ends
     m = 340
     p = np.zeros((2 * m + 1, 2 * m + 1))
     for i in range(2 * m + 1):
@@ -307,13 +328,73 @@ def test_float_rates_below_double_precision_raise():
         if i > 0:
             p[i, i - 1] = 1.0 - up
         p[i, i] = 1.0 - p[i].sum()
+    # detailed balance on the entries of p, in 28 decimal digits
+    mass = [Decimal(1)]
+    for i in range(2 * m):
+        mass.append(mass[-1] * Decimal(p[i, i + 1]) / Decimal(p[i + 1, i]))
+    total = sum(mass)
+    ref = [x / total for x in mass]
+    q, perm = relabelled(p, np.random.default_rng(m))
+    for chain, expected in ((p, ref), (q, [ref[i] for i in perm])):
+        res = stationary(chain)
+        assert res.unique
+        assert_matches(res.pi, expected)
+
+
+def test_products_below_the_float_range_keep_pi():
+    # pi[2] = 1.27e-138 is reached through rates of 1e-198 to 1e-281: a
+    # single float frame for x returned it as 0.0, labelled unique
+    p = matrix_from_bands([[2.793585661373632e-223, 0.0],
+                           [5.369680596403411e-198, 0.10633186225287128],
+                           [0.0, 1.1091771623980817e-281]])
+    res = stationary(p)
+    assert res.unique
+    assert_matches(res.pi, stationary_reference(exact_rows_of(p.p)))
+    assert res.pi[2] > 1e-138
+
+
+def test_pivot_that_underflows_asks_for_exact_mode():
+    # a valid chain whose pivot underflows to zero in the fixed order: the
+    # float pass refuses it rather than return a wrong vector
+    p = matrix_from_bands([
+        [2.2588125504898944e-33, 9.434973814083448e-195,
+         3.659331700447228e-290],
+        [2.4768437052977693e-161, 0.0, 6.825118110386571e-269],
+        [0.0, 0.0, 1.679639808049279e-107],
+        [0.0, 3.382438223248243e-239, 0.0]])
     with pytest.raises(ValueError, match="exact mode"):
         stationary(p)
 
 
-def relabelled(p, rng):
-    perm = rng.permutation(len(p))
-    return p[np.ix_(perm, perm)], perm
+def random_band_chain(rng):
+    """A float chain of 3 to 8 states whose off-diagonal entries are
+    log-uniform down to 1e-300, a quarter of them zero, half of the chains
+    relabelled."""
+    n = rng.choice([3, 4, 5, 6, 8])
+    bands = []
+    for _ in range(n):
+        band = [0.0 if rng.random() < 0.25 else 10.0 ** (-300 * rng.random())
+                for _ in range(n - 1)]
+        if sum(map(F, band)) >= 1:
+            band = [x / (2 * sum(band)) for x in band]
+        bands.append(band)
+    p = matrix_from_bands(bands).p.copy()
+    if rng.random() < 0.5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = p[np.ix_(perm, perm)]
+    return p
+
+
+def test_random_band_chains_match_the_exact_answer():
+    rng = make_rng(1310)
+    for _ in range(200):
+        p = random_band_chain(rng)
+        res = stationary(p)
+        if res.unique:
+            assert_matches(res.pi, stationary_reference(exact_rows_of(p)))
+        else:
+            assert not stationary(exact_rows_of(p)).unique
 
 
 @pytest.mark.parametrize("relabel", [False, True])

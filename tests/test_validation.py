@@ -73,6 +73,13 @@ def test_first_negative_entry_in_row_order_is_reported():
         StochasticMatrix(rows)
 
 
+def test_first_negative_float_entry_in_row_order_is_reported():
+    rows = [[0.5, 0.5, 0.0], [1.0, 0.5, -0.5], [-1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError,
+                       match=_exactly("negative entry at row 2, column 3")):
+        StochasticMatrix(rows)
+
+
 def test_row_sum_is_reported_as_an_exact_fraction():
     with pytest.raises(ValueError,
                        match=_exactly("row 1 sums to 7/6, expected 1")):
