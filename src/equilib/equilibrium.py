@@ -67,6 +67,10 @@ class EquilibriumResult:
         return self.pi is not None
 
 
+_UNDERFLOW = ("transition rates underflow double precision; solve this "
+              "chain in exact mode")
+
+
 def _state_reduction(q):
     """Principal minors of the Laplacian of a rate matrix, by one GTH pass.
 
@@ -77,18 +81,14 @@ def _state_reduction(q):
     every state but ``r`` is eliminated in that order.  Returns ``(minors,
     x)``, ``x`` proportional to the minors.  A pivot is the sum of its
     state's remaining rates, so nothing is subtracted.  Exact mode is
-    fraction-free: each update divides exactly by the previous pivot, and
-    ``x`` is the integer minors.  Float mode is left-looking: the trailing
-    block is never written; the next state's row and column take in the
-    earlier eliminations as two matrix-vector products, and the row over
-    its pivot is stored in place.  Its one range device is binary
-    exponents: row ``i`` is scaled by ``2^-e_i`` to a rate sum in
-    ``[1, 2)``, exactly, as no rate is scaled down, which scales minor
-    ``i`` by ``2^(e_i - sum(e))``; in back-substitution ``x_i`` takes an
-    exponent of its own where it leaves ``[2^-500, 2^500]``, so ``x`` may
-    fall and grow again across a valley; and the minors are the pivot
-    product times ``x``, the exponents summed apart from the mantissas.  A
-    pivot that underflows to zero raises ``ValueError``.
+    fraction-free: each update divides exactly by the previous pivot.
+    Float mode is left-looking, and its one range device is binary
+    exponents: each row is scaled exactly to a rate sum in ``[1, 2)``, an
+    ``x_i`` that leaves ``[2^-500, 2^500]`` takes an exponent of its own,
+    and the minors keep their exponents apart.  ``ValueError`` is raised
+    where a pivot or a closed state's ``x_i`` underflows to zero, or where
+    a rate rounded below the normal range could move ``pi`` by more than
+    ``2^-40`` relative.
     """
     n = q.shape[0]
     exact = q.dtype == object
@@ -110,37 +110,60 @@ def _state_reduction(q):
             col += q[k + 1:, :k] @ q[:k, k]
             pivot = float(row.sum())
             if not pivot > 0:
-                raise ValueError("transition rates underflow double "
-                                 "precision; solve this chain in exact mode")
+                raise ValueError(_UNDERFLOW)
             row /= pivot
         pivots.append(pivot)
-    x = np.empty(n, dtype=q.dtype)
-    x[n - 1] = prev if exact else 1.0
-    f = np.zeros(n, dtype=int)  # float x_k stands for x[k] * 2^f[k]
+    if exact:
+        x = np.empty(n, dtype=object)
+        x[n - 1] = prev
+        for k in range(n - 2, -1, -1):
+            x[k] = q[k + 1:, k] @ x[k + 1:] // pivots[k]
+        return x, x
+    pm, pe = np.frexp(pivots)
+    x = np.ones(n)
+    f = np.zeros(n, dtype=int)  # x_k stands for x[k] * 2^f[k]
     spread = False
     for k in range(n - 2, -1, -1):
         c = q[k + 1:, k]
-        if spread:
-            # terms aligned to the largest exponent among nonzero rates; a
-            # shift above 0 meets a zero rate, and inf * 0 would give NaN
-            f[k] = np.max(f[k + 1:], where=c != 0, initial=f[k + 1:].min())
-            s = c @ np.ldexp(x[k + 1:], np.minimum(f[k + 1:] - f[k], 0))
-        else:
-            s = c @ x[k + 1:]
-        # in Python floats, an overflow to inf is caught below, unwarned
-        x[k] = s // pivots[k] if exact else float(s) / pivots[k]
-        if not exact and s and not 2.0 ** -500 <= x[k] <= 2.0 ** 500:
-            (ms, es), (mp, ep) = math.frexp(s), math.frexp(pivots[k])
-            x[k] = ms / mp
-            f[k] += es - ep
-            spread = True
-    if exact:
-        return x, x
+        s = 0.0 if spread else float(c @ x[k + 1:])
+        x[k] = xk = s / pivots[k]  # a Python float overflows to inf, unwarned
+        if s < 2.0 ** -500 or not 2.0 ** -500 <= xk <= 2.0 ** 500:
+            # from mantissas, aligned to the largest nonzero term; shifts
+            # above 0 meet zero terms, where inf * 0 would give NaN
+            m, g = np.frexp(c)
+            g += f[k + 1:]
+            f[k] = np.max(g, where=m * x[k + 1:] != 0, initial=g.min())
+            x[k] = m @ np.ldexp(x[k + 1:], np.minimum(g - f[k], 0)) / pm[k]
+            f[k] -= pe[k]
+            spread = spread or x[k] * f[k] != 0
     m, h = np.frexp(x)
-    h = h + f - e
-    pm, pe = np.frexp(pivots)
+    hs, h = h + f, h + f - e  # y = m 2^hs solves the scaled chain, pi ~ m 2^h
+    top = np.max(h, where=m != 0, initial=h[-1])
+    if not m.all():  # a closed state's y_z that underflowed to 0 is below
+        z = np.flatnonzero(m == 0)  # 2^-1074 n^2 max(y) / p_z: pi_z may
+        z = z[z > np.argmax(m != 0)]  # be 2^ub times 2^-1074 or less
+        ub = hs[m != 0].max() + 2 * n.bit_length() + 1 - pe[z] - e[z] - top
+        if np.any(ub >= 0):
+            raise ValueError(_UNDERFLOW)
+    # below 2^-1021 sums of rates are exact, but a quotient, or a rate as
+    # formed (a row before its division) fed a product, may be off by
+    # 2^-1074: the flow y_i p_i of its state or target moves by 2^-1074 y_a
+    low = 2.0 ** -1021 / min([1.0, *pivots])  # for a row over its pivot
+    if np.count_nonzero(q < low) > q.size - np.count_nonzero(q):
+        upper, nz = np.tri(n, dtype=bool).T, q != 0
+        lossy = upper & nz & (q < 2.0 ** -1021)
+        np.multiply(q, np.append(pivots, 1.0)[:, None], out=q, where=upper)
+        a, b = np.nonzero(nz & (q < 2.0 ** -1021))
+        fed = nz[a] & nz[:, b].T & (np.arange(n) < np.minimum(a, b)[:, None])
+        lossy[a, b] |= fed.any(axis=1)
+        a, b = np.nonzero(lossy & (m != 0)[:, None])
+        flow = np.append(hs[:-1] + pe, hs[-2] + pe[-1])  # the root's: n-2's
+        for s in (a, b):  # pi_s moves by 2^(r - 1074) of itself
+            r = hs[a] - flow[s]
+            if np.any((r > 1034) & (r + h[s] > top)):
+                raise ValueError(_UNDERFLOW)
     return (np.ldexp(np.prod(pm) * m, h + int(pe.sum() + e.sum())),
-            np.ldexp(m, h - np.max(h, where=m != 0, initial=h[-1])))
+            np.ldexp(m, h - top))
 
 
 def _kernel(rows, factors, report):
@@ -355,13 +378,11 @@ def _bands(values, n):
 
 
 def _closed_form_result(weights, bands, mode):
-    """The result of the chain ``bands`` with formula weights ``weights()``.
-
-    The formula is evaluated in exact mode only.  Exact weights all vanish
-    exactly when there are several closed classes, so a nonzero total gives
-    ``pi = w / total``.  Any other chain takes the solve path whole: float
-    weights and ``pi`` come from the GTH kernel, with its entrywise
-    accuracy, and the class structure decides which weights vanish.
+    """The result of the chain ``bands`` with formula weights ``weights()``,
+    evaluated in exact mode only: exact weights all vanish exactly when
+    there are several closed classes, so a nonzero total gives ``pi = w /
+    total``.  Any other chain takes the solve path whole, float weights and
+    ``pi`` from the kernel.
     """
     if mode == EXACT:
         w = np.array(weights(), dtype=object)
@@ -443,12 +464,10 @@ def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
     """
     bands, mode = _bands([p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
                           s1, s2, s3, s4, t1, t2, t3, t4], 5)
-    laplacian = [[None] * 5 for _ in range(5)]
-    for i, band in enumerate(bands):
-        laplacian[i][i] = sum(band)
-        for k, x in enumerate(band, start=1):
-            laplacian[i][(i + k) % 5] = -x
-    return _closed_form_result(lambda: [
-        determinant([[row[j] for j in range(5) if j != i]
-                     for row in laplacian[:i] + laplacian[i + 1:]])
-        for i in range(5)], bands, mode)
+
+    def weights():
+        lap = [[sum(band) if j == i else -band[(j - i) % 5 - 1]
+                for j in range(5)] for i, band in enumerate(bands)]
+        return [determinant([r[:i] + r[i + 1:] for r in lap[:i] + lap[i + 1:]])
+                for i in range(5)]
+    return _closed_form_result(weights, bands, mode)

@@ -267,6 +267,18 @@ def test_subnormal_coupling_keeps_relative_accuracy(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("eps", [5e-320, 1e-323])
+def test_coupling_kept_to_few_bits_asks_for_exact_mode(eps):
+    # 5e-320 keeps about 13 bits and 1e-323 two: the flow between the
+    # blocks hangs on rates rounded to the subnormal grid, which the float
+    # pass refuses rather than return a vector off by up to 1e-3; exact
+    # mode solves it
+    p = eps_coupled(eps)
+    with pytest.raises(ValueError, match="exact mode"):
+        stationary(p)
+    assert stationary(exact_rows_of(p)).unique
+
+
 def birth_death(n, up, down):
     """Reflecting walk on 0..n-1 stepping up with ``up``, down with ``down``."""
     p = np.zeros((n, n))
@@ -366,14 +378,29 @@ def test_pivot_that_underflows_asks_for_exact_mode():
         stationary(p)
 
 
-def random_band_chain(rng):
+def test_closed_state_whose_weight_underflows_asks_for_exact_mode():
+    # pi[2] = 2.4e-209 is reached only through a rate of 3.2e-315 and
+    # products that underflow to zero inside the pass: a closed state's x
+    # of zero was returned as pi[2] = 0.0, labelled unique
+    p = matrix_from_bands([
+        [8.087590551375903e-14, 4.417e-321, 0.0],
+        [0.0, 3.1240177812859996e-125, 3.8335261177680074e-218],
+        [2.193343408703167e-260, 0.0, 3.244255305e-315],
+        [8.615096192295519e-47, 2.772177602172951e-10, 0.0]])
+    assert stationary_reference(exact_rows_of(p.p))[2] > 1e-209
+    with pytest.raises(ValueError, match="exact mode"):
+        stationary(p)
+
+
+def random_band_chain(rng, decades=300):
     """A float chain of 3 to 8 states whose off-diagonal entries are
-    log-uniform down to 1e-300, a quarter of them zero, half of the chains
-    relabelled."""
+    log-uniform over ``decades`` decades below 1, a quarter of them zero,
+    half of the chains relabelled."""
     n = rng.choice([3, 4, 5, 6, 8])
     bands = []
     for _ in range(n):
-        band = [0.0 if rng.random() < 0.25 else 10.0 ** (-300 * rng.random())
+        band = [0.0 if rng.random() < 0.25
+                else 10.0 ** (-decades * rng.random())
                 for _ in range(n - 1)]
         if sum(map(F, band)) >= 1:
             band = [x / (2 * sum(band)) for x in band]
@@ -395,6 +422,26 @@ def test_random_band_chains_match_the_exact_answer():
             assert_matches(res.pi, stationary_reference(exact_rows_of(p)))
         else:
             assert not stationary(exact_rows_of(p)).unique
+
+
+def test_random_band_chains_with_subnormal_rates_are_right_or_refused():
+    # rates down to the smallest subnormal: a chain whose answer hangs on
+    # rates kept to a few bits raises the exact-mode error, and none is wrong
+    rng = make_rng(1311)
+    refused = 0
+    for _ in range(200):
+        p = random_band_chain(rng, decades=323.3)
+        try:
+            res = stationary(p)
+        except ValueError as exc:
+            assert "exact mode" in str(exc)
+            refused += 1
+            continue
+        if res.unique:
+            assert_matches(res.pi, stationary_reference(exact_rows_of(p)))
+        else:
+            assert not stationary(exact_rows_of(p)).unique
+    assert refused <= 10
 
 
 @pytest.mark.parametrize("relabel", [False, True])
