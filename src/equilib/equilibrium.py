@@ -86,9 +86,9 @@ def _state_reduction(q):
     exponents: each row is scaled exactly to a rate sum in ``[1, 2)``, an
     ``x_i`` that leaves ``[2^-500, 2^500]`` takes an exponent of its own,
     and the minors keep their exponents apart.  ``ValueError`` is raised
-    where a pivot or a closed state's ``x_i`` underflows to zero, or where
-    a rate rounded below the normal range could move ``pi`` by more than
-    ``2^-40`` relative.
+    where a pivot underflows to zero, where a closed state's ``x_i`` does
+    and its ``pi_i`` may be representable, or where a rate rounded below
+    the normal range could move ``pi`` by more than ``2^-40`` relative.
     """
     n = q.shape[0]
     exact = q.dtype == object
@@ -140,8 +140,8 @@ def _state_reduction(q):
     hs, h = h + f, h + f - e  # y = m 2^hs solves the scaled chain, pi ~ m 2^h
     top = np.max(h, where=m != 0, initial=h[-1])
     if not m.all():  # a closed state's y_z that underflowed to 0 is below
-        z = np.flatnonzero(m == 0)  # 2^-1074 n^2 max(y) / p_z: pi_z may
-        z = z[z > np.argmax(m != 0)]  # be 2^ub times 2^-1074 or less
+        z = np.flatnonzero(m == 0)  # 2^-1074 n^2 max(y) / p_z, so pi_z is
+        z = z[z > np.argmax(m != 0)]  # below 2^(ub - 1074)
         ub = hs[m != 0].max() + 2 * n.bit_length() + 1 - pe[z] - e[z] - top
         if np.any(ub >= 0):
             raise ValueError(_UNDERFLOW)
