@@ -426,7 +426,8 @@ def test_random_band_chains_match_the_exact_answer():
 
 def test_random_band_chains_with_subnormal_rates_are_right_or_refused():
     # rates down to the smallest subnormal: a chain whose answer hangs on
-    # rates kept to a few bits raises the exact-mode error, and none is wrong
+    # rates kept to a few bits raises the exact-mode error, and none is
+    # wrong: every entry is within 1e-9 relative or two subnormal steps
     rng = make_rng(1311)
     refused = 0
     for _ in range(200):
@@ -438,7 +439,9 @@ def test_random_band_chains_with_subnormal_rates_are_right_or_refused():
             refused += 1
             continue
         if res.unique:
-            assert_matches(res.pi, stationary_reference(exact_rows_of(p)))
+            ref = stationary_reference(exact_rows_of(p))
+            assert all(abs(F(float(x)) - r) <= r / 10 ** 9 + F(2) ** -1073
+                       for x, r in zip(res.pi, ref))
         else:
             assert not stationary(exact_rows_of(p)).unique
     assert refused <= 10
