@@ -30,8 +30,8 @@ import numpy as np
 from .matrix_core import EXACT, FLOAT, StochasticMatrix
 from .reducibility import communicating_classes
 from .equilibrium import (
-    _weights,
     equilibrium_polytope,
+    minor_weights,
     relative_probability,
     stationary,
     verify_equilibrium,
@@ -317,18 +317,14 @@ def _fmt_vector(v):
 
 
 def _json_scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
+    return str(x) if isinstance(x, Fraction) else float(x)
 
 
 def _json_vector(v):
     return [_json_scalar(x) for x in v]
 
 
-def _report_text(report, with_vertices):
+def _report_text(report):
     lines = ["communicating classes:"]
     for k, (cls, closed) in enumerate(
         zip(report.classes, report.closed_flags), start=1
@@ -338,7 +334,7 @@ def _report_text(report, with_vertices):
             f"  class {k} ({'closed' if closed else 'open'}): states {states}")
     transitory = " ".join(str(i + 1) for i in report.transitory_states)
     lines.append(f"transitory states: {transitory if transitory else '(none)'}")
-    if with_vertices and report.vertex_equilibria is not None:
+    if report.vertex_equilibria is not None:
         lines.append("vertex equilibria:")
         for v in report.vertex_equilibria:
             lines.append(f"  {_fmt_vector(v)}")
@@ -373,8 +369,7 @@ def _cmd_stationary(doc, args):
     if isinstance(doc, Graph):
         res, mode = graph_stationary(doc).result, EXACT
     else:
-        sm = _working_matrix(doc, args)
-        res, mode = stationary(sm), sm.mode
+        res, mode = stationary(doc), doc.mode
     payload = {"kind": "stationary", "mode": mode,
                "weights": _json_vector(res.weights)}
     if res.unique:
@@ -385,7 +380,7 @@ def _cmd_stationary(doc, args):
     payload["variant"] = "degenerate"
     payload["report"] = _report_json(res.decomposition)
     lines = ["degenerate chain: no unique equilibrium"]
-    lines += _report_text(res.decomposition, with_vertices=True)
+    lines += _report_text(res.decomposition)
     _emit(args, lines, payload)
     return 2
 
@@ -406,36 +401,34 @@ def _cmd_weights(doc, args):
         lines.append("degenerate chain: all weights vanish")
         _emit(args, lines, payload)
         return 2
-    sm = _working_matrix(doc, args)
-    w, pi, _ = _weights(*sm._chain)
+    w = minor_weights(doc)
     total = w.sum()
-    payload = {"kind": "weights", "mode": sm.mode,
+    payload = {"kind": "weights", "mode": doc.mode,
                "weights": _json_vector(w), "total": _json_scalar(total)}
     lines = [f"w = {_fmt_vector(w)}", f"total = {_fmt_scalar(total)}"]
     _emit(args, lines, payload)
     # float weights may underflow to zero: structure decides the exit code
-    return 0 if pi is not None else 2
+    return 0 if communicating_classes(doc).n_closed == 1 else 2
 
 
 def _cmd_classes(doc, args):
-    report = communicating_classes(_working_matrix(doc, args))
+    report = communicating_classes(doc)
     payload = {"kind": "classes", "report": _report_json(report)}
-    _emit(args, _report_text(report, with_vertices=False), payload)
+    _emit(args, _report_text(report), payload)
     return 0 if report.n_closed == 1 else 2
 
 
 def _cmd_polytope(doc, args):
-    report = equilibrium_polytope(_working_matrix(doc, args))
+    report = equilibrium_polytope(doc)
     payload = {"kind": "polytope", "report": _report_json(report)}
-    _emit(args, _report_text(report, with_vertices=True), payload)
+    _emit(args, _report_text(report), payload)
     return 0 if len(report.vertex_equilibria) == 1 else 2
 
 
 def _cmd_ratio(doc, args):
-    sm = _working_matrix(doc, args)
-    if not (1 <= args.i <= sm.n and 1 <= args.j <= sm.n):
-        raise ParseError(f"state indices must be in 1..{sm.n}")
-    value = relative_probability(sm, args.i - 1, args.j - 1)
+    if not (1 <= args.i <= doc.n and 1 <= args.j <= doc.n):
+        raise ParseError(f"state indices must be in 1..{doc.n}")
+    value = relative_probability(doc, args.i - 1, args.j - 1)
     payload = {"kind": "ratio", "i": args.i, "j": args.j,
                "value": _json_scalar(value)}
     _emit(args, [f"pi[{args.i}] / pi[{args.j}] = {_fmt_scalar(value)}"],
@@ -444,10 +437,8 @@ def _cmd_ratio(doc, args):
 
 
 def _cmd_verify(doc, args):
-    text = _read_source(args.pi_file)
-    pi = _parse_vector(text)
-    residual = verify_equilibrium(np.array(pi, dtype=object),
-                                  _working_matrix(doc, args))
+    pi = _parse_vector(_read_source(args.pi_file))
+    residual = verify_equilibrium(pi, doc)
     payload = {"kind": "verify", "residual": _json_scalar(residual)}
     _emit(args, [f"residual = {_fmt_scalar(residual)}"], payload)
     return 0
@@ -478,13 +469,12 @@ def _parse_vector(text):
 
 
 def _cmd_compare(doc, args):
-    sm = _working_matrix(doc, args)
     rows = []
     payload_methods = {}
     pis = {}
 
-    def solved(name, seconds, pi, against, **extra):
-        resid = verify_equilibrium(pi, against)
+    def solved(name, seconds, pi, **extra):
+        resid = verify_equilibrium(pi, doc)
         rows.append((name, _fmt_vector(pi), _fmt_scalar(resid),
                      f"{seconds:.4f}"))
         payload_methods[name] = {
@@ -497,27 +487,27 @@ def _cmd_compare(doc, args):
         payload_methods[name] = {"status": status, **fields}
 
     t0 = time.perf_counter()
-    res = stationary(sm)
+    res = stationary(doc)
     seconds = time.perf_counter() - t0
     if res.unique:
-        solved("minor_weights", seconds, res.pi, sm)
+        solved("minor_weights", seconds, res.pi)
     else:
         failed("minor_weights", "degenerate", "degenerate", seconds=seconds)
 
     t0 = time.perf_counter()
     try:
-        pi_solve = linear_solve_stationary(sm)
+        pi_solve = linear_solve_stationary(doc)
     except SingularSystemError:
         failed("linear_solve", "singular system", "singular",
                seconds=time.perf_counter() - t0)
     else:
-        solved("linear_solve", time.perf_counter() - t0, pi_solve, sm)
+        solved("linear_solve", time.perf_counter() - t0, pi_solve)
 
     t0 = time.perf_counter()
-    pm = power_method(sm, tol=args.tol)
+    pm = power_method(doc, tol=args.tol)
     seconds = time.perf_counter() - t0
     if pm.converged:
-        solved("power_method", seconds, pm.pi_estimate, sm.to_float(),
+        solved("power_method", seconds, pm.pi_estimate,
                squarings=pm.iterations)
     else:
         failed("power_method",
@@ -528,7 +518,7 @@ def _cmd_compare(doc, args):
     lines = [f"{'method':<14} {'pi':<40} {'residual':<12} seconds"]
     for name, vec, resid, secs in rows:
         lines.append(f"{name:<14} {vec:<40} {resid:<12} {secs}")
-    payload = {"kind": "compare", "mode": sm.mode,
+    payload = {"kind": "compare", "mode": doc.mode,
                "methods": payload_methods}
     if len(pis) >= 2:
         names = sorted(pis)
@@ -539,14 +529,6 @@ def _cmd_compare(doc, args):
         payload["max_pairwise_linf"] = diff
     _emit(args, lines, payload)
     return 0 if res.unique else 2
-
-
-def _working_matrix(doc, args):
-    """The stochastic matrix a command operates on, perturbed if requested."""
-    sm = walk_matrix(doc) if isinstance(doc, Graph) else doc
-    if args.epsilon is not None:
-        sm = perturb(sm, _scalar(args.epsilon, sm.mode, "--epsilon value"))
-    return sm
 
 
 _COMMANDS = {
@@ -626,9 +608,14 @@ def main(argv=None):
     try:
         doc = parse_input(_read_source(args.source), fmt=args.format,
                           mode=mode)
-        if isinstance(doc, Graph) and args.epsilon is not None:
-            # only an unperturbed graph takes the integer walk path
+        # only stationary and weights solve a graph in integers, unperturbed
+        if isinstance(doc, Graph) and (
+                args.epsilon is not None
+                or args.command not in ("stationary", "weights")):
             doc = walk_matrix(doc)
+        if args.epsilon is not None:
+            doc = perturb(doc, _scalar(args.epsilon, doc.mode,
+                                       "--epsilon value"))
         return _COMMANDS[args.command](doc, args)
     except ZeroOutDegreeError as exc:
         print(f"error: node {exc.node + 1} has no outgoing edges; "

@@ -26,10 +26,9 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
-# slack used by float-mode sign tests (Z-matrix check, band parameters)
+# slack of the float-mode sign tests (matrix entries, Z-matrix check, band
+# parameters); ROW_SUM_ATOL is the row-sum tolerance of a float matrix
 FLOAT_SIGN_SLACK = 1e-12
-# StochasticMatrix validation tolerances (float mode)
-ENTRY_ATOL = 1e-12
 ROW_SUM_ATOL = 1e-9
 
 
@@ -312,7 +311,7 @@ class StochasticMatrix:
             self.mode = EXACT
         else:
             p = _float_square(a)
-            bad = np.argwhere(p < -ENTRY_ATOL)
+            bad = np.argwhere(p < -FLOAT_SIGN_SLACK)
             if bad.size:
                 i, j = bad[0]
                 raise ValueError(

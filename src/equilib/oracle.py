@@ -105,15 +105,10 @@ def perturb(p, epsilon):
         mode = sm.mode
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    a = sm.p
     if mode == FLOAT:
-        a = as_float_array(sm.p)
-        eps = float(epsilon)
-        mixed = (1.0 - eps) * a + eps / sm.n
-    else:
-        share = epsilon / sm.n
-        mixed = [[(1 - epsilon) * sm.p[i, j] + share for j in range(sm.n)]
-                 for i in range(sm.n)]
-    return StochasticMatrix(mixed, mode=mode)
+        a, epsilon = as_float_array(a), float(epsilon)
+    return StochasticMatrix((1 - epsilon) * a + epsilon / sm.n, mode=mode)
 
 
 def _solve_exact(rows, rhs):

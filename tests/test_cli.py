@@ -614,3 +614,46 @@ def test_graph_under_float_mode_is_solved_in_float(tmp_path, capsys, command,
     got = json.loads(out)
     assert got == payload
     assert all(type(x) is float for x in got["weights"])
+
+
+# --- error branches and the order of errors --------------------------------------
+
+
+def test_exact_literal_overflowing_a_float_is_located(tmp_path, capsys):
+    big = "1" + "0" * 400
+    path = write(tmp_path, "m.txt", f"{big}/3 0\n0 1\n")
+    assert run(capsys, "stationary", "--mode", "float", path) == (
+        1, "", f"error: line 1, entry 1: {big}/3 overflows a float\n")
+
+
+def test_json_document_that_is_not_an_object_is_rejected(tmp_path, capsys):
+    path = write(tmp_path, "m.json", "[1, 2]")
+    assert run(capsys, "stationary", "--format", "json", path) == (
+        1, "", "error: JSON document must be an object with a 'kind' field\n")
+
+
+def test_vector_file_of_comments_only_is_rejected(tmp_path, capsys):
+    matrix = write(tmp_path, "m.txt", TWO_STATE)
+    pi_file = write(tmp_path, "pi.txt", "# nothing\n")
+    assert run(capsys, "verify", pi_file, matrix) == (
+        1, "", "error: no vector entries found\n")
+
+
+def test_unknown_input_format_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown input format 'xml'"):
+        parse_input("1 0\n0 1\n", fmt="xml")
+
+
+@pytest.mark.parametrize("name, text, flags, message", [
+    ("m.txt", TWO_STATE, ["--epsilon", "abc"],
+     "malformed --epsilon value 'abc'"),
+    ("g.json", '{"kind": "graph", "rows": [[0, 1], [0, 0]]}', [],
+     "node 2 has no outgoing edges; the random walk is undefined"),
+], ids=["bad-epsilon", "graph-sink"])
+def test_verify_reports_a_bad_chain_before_an_unreadable_vector(
+        tmp_path, capsys, name, text, flags, message):
+    # main settles the chain a run works on before verify reads its vector
+    source = write(tmp_path, name, text)
+    missing = str(tmp_path / "nope.json")
+    assert run(capsys, "verify", missing, source, *flags) == (
+        1, "", f"error: {message}\n")

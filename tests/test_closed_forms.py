@@ -354,3 +354,9 @@ def test_float_five_state_weights_keep_relative_accuracy():
         exact = in_tree_weights(exact_rows_of(matrix_from_bands(bands).p))
         for w, ref in zip(res.weights, exact):
             assert w == 0.0 if ref == 0 else abs(F(w) - ref) <= 1e-12 * ref
+
+
+def test_band_row_of_the_wrong_length_is_named():
+    with pytest.raises(ValueError,
+                       match="row 2 needs 1 off-diagonal parameters"):
+        matrix_from_bands([[0.5], [0.25, 0.25]])

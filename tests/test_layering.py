@@ -64,3 +64,17 @@ def test_module_import_graph_is_acyclic():
         visit(name)
     # the class structure sits below the kernel that uses it
     assert graph["reducibility"] == {"matrix_core"}
+
+
+def test_cli_uses_only_the_public_library_api():
+    # graph_walk._COUNT_RE, the count grammar of edge lists, is shared
+    private = []
+    for node in ast.walk(MODULES["cli"]):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(
+                ".")[-1] in ("matrix_core", "reducibility", "equilibrium"):
+            private += [f"import {node.module}.{alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            private.append(f".{node.attr}, line {node.lineno}")
+    assert private == []
