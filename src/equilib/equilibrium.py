@@ -22,8 +22,11 @@ rows in and giving Fractions or floats out, depends on the scalar field.
 
 The closed-form functions for 2..5 states evaluate the same exact weights
 from the paper's formulas in the banded parameterization (see
-:func:`matrix_from_bands`), as independent cross-checks of the kernel; a
-float or degenerate chain takes the solve path whole.
+:func:`matrix_from_bands`), as independent cross-checks of the kernel.
+Like the kernel they work in integers: each band row is cleared to
+integers once, the formulas run on those, and the kernel's last step turns
+the integer weights and row factors into Fractions, one division per
+output entry.  A float or degenerate chain takes the solve path whole.
 """
 
 import math
@@ -37,7 +40,8 @@ from .matrix_core import (
     FLOAT,
     FLOAT_SIGN_SLACK,
     StochasticMatrix,
-    determinant,
+    clear_denominators,
+    int_determinant,
 )
 from .reducibility import DecompositionReport, _classes
 
@@ -166,6 +170,17 @@ def _state_reduction(q):
             np.ldexp(m, h - top))
 
 
+def _fractions(minors, factors):
+    """Fraction ``(w, pi)`` from the integer minors of rows scaled by
+    ``factors``: minor ``i`` is ``w_i prod(f) / f_i``, so each output entry
+    takes one division.  ``pi`` is ``None`` when every minor vanishes.
+    """
+    scaled = [m * f for m, f in zip(minors, factors)]
+    prod_f, total = math.prod(factors), sum(scaled)
+    return ([Fraction(s, prod_f) for s in scaled],
+            [Fraction(s, total) for s in scaled] if total else None)
+
+
 def _kernel(rows, factors, report):
     """``(weights, pi)`` of the chain ``(rows, factors)`` with class
     decomposition ``report``; ``pi`` is ``None`` when there are several
@@ -190,11 +205,7 @@ def _kernel(rows, factors, report):
     minors, x = _state_reduction(q)
     pi = w.copy()
     if exact:
-        scaled = [m * factors[i] for m, i in zip(minors, order)]
-        prod_f = math.prod(factors[i] for i in order)
-        w[order] = [Fraction(s, prod_f) for s in scaled]
-        total = sum(scaled)
-        pi[order] = [Fraction(s, total) for s in scaled]
+        w[order], pi[order] = _fractions(minors, [factors[i] for i in order])
     else:
         w[order] = minors
         pi[order] = x
@@ -306,8 +317,9 @@ def verify_equilibrium(pi, p):
     sm = StochasticMatrix.coerce(p)
     v = np.asarray(pi, dtype=object if sm.mode == EXACT else float)
     if v.ndim != 1 or v.shape[0] != sm.n:
-        raise ValueError(
-            f"vector of length {v.shape} does not match n={sm.n}")
+        raise ValueError(f"vector of length "
+                         f"{len(v) if v.ndim == 1 else v.shape} "
+                         f"does not match n={sm.n}")
     if sm.mode == EXACT and any(
         isinstance(x, (float, np.floating)) for x in v.flat
     ):
@@ -341,55 +353,75 @@ def matrix_from_bands(bands, mode=None):
     This is the parameter-order convention of every ``closed_form_*``
     function.
     """
+    return StochasticMatrix(_band_rows(bands, [1] * len(bands)), mode=mode)
+
+
+def _band_rows(bands, units):
+    """The rows of :func:`matrix_from_bands`, row ``i`` summing to
+    ``units[i]``: 1, or the factor of an integer-cleared band row."""
     n = len(bands)
     rows = [[None] * n for _ in range(n)]
-    for i, band in enumerate(bands):
+    for i, (band, unit) in enumerate(zip(bands, units)):
         band = list(band)
         if len(band) != n - 1:
             raise ValueError(
                 f"row {i + 1} needs {n - 1} off-diagonal parameters")
-        rows[i][i] = 1 - sum(band)
+        rows[i][i] = unit - sum(band)
         for k, x in enumerate(band, start=1):
             rows[i][(i + k) % n] = x
-    return StochasticMatrix(rows, mode=mode)
+    return rows
 
 
 def _bands(values, n):
-    """``(bands, mode)``: ``values`` split into the ``n`` rows of
+    """``(bands, factors)``: ``values`` split into the ``n`` rows of
     :func:`matrix_from_bands` in one mode (float wins over exact), each
     parameter in ``[0, 1]`` and each row sum at most 1, up to
-    ``FLOAT_SIGN_SLACK`` in float mode; an error names the parameter or row."""
-    if any(isinstance(v, (float, np.floating)) for v in values):
-        values, mode = [float(v) for v in values], FLOAT
-    else:
-        values, mode = [Fraction(v) for v in values], EXACT
-    slack = 0 if mode == EXACT else FLOAT_SIGN_SLACK
+    ``FLOAT_SIGN_SLACK`` in float mode; an error names the parameter or row.
+
+    Float bands come back as floats with ``factors`` ``None``.  Exact band
+    rows are cleared once to integers ``b_i`` and lcm factors ``f_i``, and
+    checked there: ``0 <= b_ik <= f_i`` and ``sum(b_i) <= f_i``.
+    """
+    exact = not any(isinstance(v, (float, np.floating)) for v in values)
     bands = [values[i:i + n - 1] for i in range(0, len(values), n - 1)]
-    for letter, band in zip(_BAND_LETTERS, bands):
-        for k, x in enumerate(band, start=1):
-            if not -slack <= x <= 1 + slack:
-                raise ValueError(
-                    f"parameter {letter}{k} = {x} outside [0, 1]")
-        if not sum(band) <= 1 + slack:
+    if exact:
+        bands, factors = clear_denominators(bands)
+    else:
+        bands, factors = [[float(v) for v in b] for b in bands], None
+    slack = 0 if exact else FLOAT_SIGN_SLACK
+    for letter, b, f in zip(_BAND_LETTERS, bands, factors or [1] * n):
+        for k, v in enumerate(b, start=1):
+            if not -slack <= v <= f + slack:
+                raise ValueError(f"parameter {letter}{k} = "
+                                 f"{Fraction(v, f) if exact else v} "
+                                 "outside [0, 1]")
+        if not sum(b) <= f + slack:
             raise ValueError(
                 f"row parameters {letter}1..{letter}{n - 1} sum to "
-                f"{sum(band)}, must be at most 1")
-    return bands, mode
+                f"{Fraction(sum(b), f) if exact else sum(b)}, "
+                "must be at most 1")
+    return bands, factors
 
 
-def _closed_form_result(weights, bands, mode):
-    """The result of the chain ``bands`` with formula weights ``weights()``,
-    evaluated in exact mode only: exact weights all vanish exactly when
-    there are several closed classes, so a nonzero total gives ``pi = w /
-    total``.  Any other chain takes the solve path whole, float weights and
-    ``pi`` from the kernel.
+def _closed_form_result(weights, bands, factors):
+    """The result of the chain ``(bands, factors)`` from :func:`_bands`
+    with formula weights ``weights()``, evaluated in exact mode only.
+
+    The formulas run on the integer-cleared bands.  Each term takes one
+    parameter from every other row, so weight ``i`` comes out scaled by
+    ``prod(f) / f_i``, as the kernel's minors of cleared rows are, and
+    :func:`_fractions` divides once per output entry.  The weights all
+    vanish exactly when there are several closed classes; then the cleared
+    rows, diagonal ``f_i - sum(b_i)``, take the solve path.  A float chain
+    takes the solve path whole, weights and ``pi`` from the kernel.
     """
-    if mode == EXACT:
-        w = np.array(weights(), dtype=object)
-        total = w.sum()
-        if total != 0:
-            return EquilibriumResult(weights=w, pi=w / total)
-    return _solve(*matrix_from_bands(bands, mode)._chain)
+    if factors is None:
+        return _solve(*matrix_from_bands(bands, FLOAT)._chain)
+    w, pi = _fractions(weights(), factors)
+    if pi is None:
+        return _solve(_band_rows(bands, factors), factors)
+    return EquilibriumResult(weights=np.array(w, dtype=object),
+                             pi=np.array(pi, dtype=object))
 
 
 def closed_form_2(p, q):
@@ -399,9 +431,9 @@ def closed_form_2(p, q):
     ``p + q == 0`` means the identity chain, where every probability vector
     is stationary, and a degenerate result is returned.
     """
-    bands, mode = _bands([p, q], 2)
+    bands, factors = _bands([p, q], 2)
     (p,), (q,) = bands
-    return _closed_form_result(lambda: [q, p], bands, mode)
+    return _closed_form_result(lambda: [q, p], bands, factors)
 
 
 def closed_form_3(p1, p2, q1, q2, r1, r2):
@@ -416,12 +448,12 @@ def closed_form_3(p1, p2, q1, q2, r1, r2):
 
     and each is the matching principal minor of ``I - P``.
     """
-    bands, mode = _bands([p1, p2, q1, q2, r1, r2], 3)
+    bands, factors = _bands([p1, p2, q1, q2, r1, r2], 3)
     (p1, p2), (q1, q2), (r1, r2) = bands
     return _closed_form_result(lambda: [q1 * r1 + q2 * r1 + q2 * r2,
                                         r1 * p1 + r2 * p1 + r2 * p2,
                                         p1 * q1 + p2 * q1 + p2 * q2],
-                               bands, mode)
+                               bands, factors)
 
 
 # the 16 monomials of the first four-state weight, as (a, b, c) exponents
@@ -443,12 +475,13 @@ def closed_form_4(p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3):
     ``w_i`` is a sum of 16 products of one parameter from each of the other
     three rows; the rows rotate cyclically from one weight to the next.
     """
-    bands, mode = _bands([p1, p2, p3, q1, q2, q3, r1, r2, r3, s1, s2, s3], 4)
+    bands, factors = _bands([p1, p2, p3, q1, q2, q3, r1, r2, r3,
+                              s1, s2, s3], 4)
     return _closed_form_result(lambda: [
         sum(a[x - 1] * b[y - 1] * c[z - 1]
             for x, y, z in _W4_FIRST_WEIGHT_TERMS)
         for a, b, c in ((bands * 2)[i + 1:i + 4] for i in range(4))],
-        bands, mode)
+        bands, factors)
 
 
 def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
@@ -460,14 +493,18 @@ def closed_form_5(p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
     each row's parameter sum on the diagonal and ``-x`` off it.  Weight
     ``w_i`` is the determinant of its 4x4 principal submatrix without row
     and column ``i``; expanding them would give five quartic polynomials of
-    125 terms each, which is why the determinant form is used.
+    125 terms each, which is why the determinant form is used.  In exact
+    mode the rows of ``I - P`` are the integer-cleared bands, so each minor
+    is one :func:`~equilib.matrix_core.int_determinant` call, scaled by
+    the other rows' factors.
     """
-    bands, mode = _bands([p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
-                          s1, s2, s3, s4, t1, t2, t3, t4], 5)
+    bands, factors = _bands([p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4,
+                             s1, s2, s3, s4, t1, t2, t3, t4], 5)
 
     def weights():
         lap = [[sum(band) if j == i else -band[(j - i) % 5 - 1]
                 for j in range(5)] for i, band in enumerate(bands)]
-        return [determinant([r[:i] + r[i + 1:] for r in lap[:i] + lap[i + 1:]])
+        return [int_determinant([r[:i] + r[i + 1:]
+                                 for r in lap[:i] + lap[i + 1:]])
                 for i in range(5)]
-    return _closed_form_result(weights, bands, mode)
+    return _closed_form_result(weights, bands, factors)

@@ -249,13 +249,38 @@ def test_five_state_matches_general_method():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_closed_forms_match_minor_method_property(seed):
+    # each parameter scaled by 0, 1/3, 2/3 or 1: denominators mix within a
+    # row, and zeros make some chains degenerate
     rng = make_rng(seed)
     for n, fn in ((2, closed_form_2), (3, closed_form_3),
                   (4, closed_form_4), (5, closed_form_5)):
-        bands = random_band_params(rng, n)
+        bands = [[x * F(rng.randint(0, 3), 3) for x in band]
+                 for band in random_band_params(rng, n)]
         res = fn(*flat(bands))
         general = stationary(matrix_from_bands(bands))
         assert list(res.weights) == list(general.weights)
+        assert res.unique == general.unique
+        if res.unique:
+            assert list(res.pi) == list(general.pi)
+        else:
+            got, want = res.decomposition, general.decomposition
+            assert (got.classes, got.closed_flags, got.transitory_states) \
+                == (want.classes, want.closed_flags, want.transitory_states)
+            assert [list(v) for v in got.vertex_equilibria] == [
+                list(v) for v in want.vertex_equilibria]
+
+
+def test_numpy_integer_parameters_are_read_as_integers():
+    # an np.int32 numerator inside a Fraction used to wrap around in the
+    # products and gave a negative pi labelled unique
+    bands = [[F(19109, 63327), F(1000, 21109), F(0)],
+             [F(291, 4054), np.int32(0), F(960, 2027)],
+             [F(3, 8), F(0), F(0)], [F(8, 17), F(3, 17), F(0)]]
+    res = closed_form_4(*flat(bands))
+    general = stationary(matrix_from_bands(bands))
+    assert list(res.weights) == list(general.weights)
+    assert list(res.pi) == list(general.pi)
+    assert all(type(x) is F and x > 0 for x in res.pi)
 
 
 def test_float_parameters_give_float_results():
@@ -274,6 +299,12 @@ def test_float_parameters_give_float_results():
      "row parameters p1..p2 sum to 1.0000000001, must be at most 1"),
     (closed_form_2, [0.25, 1 + 1e-11], "parameter q1 = 1.00000000001 "
      "outside [0, 1]"),
+    # exact parameters are checked on the integer-cleared rows
+    (closed_form_3, [F(1, 4), 0, F(1, 3), F(-1, 4), 0, 0],
+     "parameter q2 = -1/4 outside [0, 1]"),
+    (closed_form_2, ["3/2", 0], "parameter p1 = 3/2 outside [0, 1]"),
+    (closed_form_4, [0] * 6 + [F(1, 2), F(1, 3), F(1, 4)] + [0] * 3,
+     "row parameters r1..r3 sum to 13/12, must be at most 1"),
 ])
 def test_band_errors_name_the_parameters(fn, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -236,6 +236,13 @@ def test_verify_float_residual_small_on_random_8x8():
 def test_verify_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         verify_equilibrium([F(1)], two_state(F(1, 3), F(2, 3)))
+    # a vector's length, not its shape; an input that is not 1-D has a shape
+    with pytest.raises(ValueError, match="^vector of length 3 does not "
+                       "match n=2$"):
+        verify_equilibrium([1, 0, 0], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^vector of length \(1, 2\) does "
+                       "not match n=2$"):
+        verify_equilibrium([[1, 0]], [[1, 0], [0, 1]])
 
 
 def test_verify_detects_non_equilibrium():

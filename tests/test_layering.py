@@ -6,6 +6,9 @@ equilibrium, graph_walk, then cli, with oracle on matrix_core alone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equilib"
@@ -78,3 +81,17 @@ def test_cli_uses_only_the_public_library_api():
                 and not node.attr.endswith("__"):
             private.append(f".{node.attr}, line {node.lineno}")
     assert private == []
+
+
+def test_importing_the_cli_loads_only_stdlib_and_numpy():
+    # every CLI process pays for what this import loads; modules the
+    # interpreter loaded before it (site hooks) are not the package's
+    code = ("import sys; before = set(sys.modules); import equilib.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    allowed = set(sys.stdlib_module_names) | {"numpy", "equilib"}
+    assert "equilib.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] not in allowed] == []

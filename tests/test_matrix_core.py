@@ -51,6 +51,11 @@ def test_determinant_singular_integer_matrix():
     assert int_determinant([[1, 2], [2, 4]]) == 0
 
 
+def test_int_determinant_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        int_determinant([[1, 2], [3]])
+
+
 def test_exact_determinant_matches_cofactor_oracle():
     rng = make_rng(201)
     for _ in range(50):
@@ -326,6 +331,7 @@ def test_mode_inference():
     assert floaty.mode == "float"
     assert exact.to_float().mode == "float"
     assert floaty.to_exact().mode == "exact"
+    assert exact.to_exact() is exact and floaty.to_float() is floaty
 
 
 def test_minor_full_matrix_by_index():

@@ -151,6 +151,13 @@ def test_linear_solve_reducible_raises():
         linear_solve_stationary([[F(1), F(0)], [F(0), F(1)]])
     with pytest.raises(SingularSystemError):
         linear_solve_stationary(np.eye(3))
+    # state 2 all but absorbing: LU's pivot is tiny, not zero, and the
+    # residual gives the system away
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        linear_solve_stationary(np.array([
+            [4.719778182063751e-09, 0.9999999952802218, 0.0],
+            [2.0315859794030694e-12, 0.9999999999979685, 0.0],
+            [1.0060184137214467e-16, 0.0, 0.9999999999999999]]))
 
 
 def test_linear_solve_float_mode():

@@ -62,6 +62,16 @@ def test_p_holds_fractions_and_keeps_the_callers_objects():
     assert all(type(x) is Fraction for x in sm.p.flat)
 
 
+def test_a_fraction_subclass_entry_is_kept_and_cleared():
+    class Rate(Fraction):
+        pass
+
+    half = Rate(1, 2)
+    sm = StochasticMatrix([[half, half], [1, 0]])
+    assert sm.p[0, 0] is half
+    assert sm._cleared == ([[1, 1], [1, 0]], [2, 1])
+
+
 # --- validation messages -----------------------------------------------------
 
 def test_first_negative_entry_in_row_order_is_reported():
@@ -87,6 +97,13 @@ def test_row_sum_is_reported_as_an_exact_fraction():
     with pytest.raises(ValueError,
                        match=_exactly("row 2 sums to 5/6, expected 1")):
         StochasticMatrix([[1, 0], ["1/2", "1/3"]])
+
+
+def test_an_unreadable_exact_entry_keeps_the_fraction_error():
+    # only a non-finite float gets a located message
+    with pytest.raises(ValueError, match=_exactly(
+            "Invalid literal for Fraction: 'x'")):
+        StochasticMatrix([[1, 0], ["1/2", "x"]])
 
 
 def test_a_float_entry_makes_an_inferred_matrix_float_before_any_error():
