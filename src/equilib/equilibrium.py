@@ -7,18 +7,20 @@ are several.  So the class structure decides first.  With one closed class
 ``pi = w / sum(w)`` is the unique stationary vector; with several, the full
 solution set is reported instead of an error.
 
-All weights come from one O(n^3) state-reduction pass (GTH) in one order in
-both scalar fields: the product of its pivots is ``w_r`` for a root ``r``
-and back-substitution gives every ``w_i = w_r * x_i``.  Float ``pi`` is
-normalized from ``x``, so it keeps entrywise relative accuracy where the
-weights underflow.
+All weights come from one O(n^3) state-reduction pass (GTH), one function
+per scalar field, both eliminating in the same order: the pivots give
+``w_r`` for a root ``r`` and back-substitution gives every ``w_i = w_r *
+x_i``.  The integer pass is fraction-free; the float pass is left-looking
+with binary exponents.  Float ``pi`` is normalized from ``x``, so it keeps
+entrywise relative accuracy where the weights underflow.
 
 Every chain reaches that pass as ``(rows, factors)``: a float matrix as
 ``(p, None)``, an exact one as its integer-cleared rows and their lcm
 factors, a graph as its adjacency and out-degrees.  One solve path runs the
 class pass, the kernel and, for several closed classes, the polytope
-vertices, one kernel run per closed class; only the kernel, slicing the
-rows in and giving Fractions or floats out, depends on the scalar field.
+vertices, one kernel run per closed class; only the kernel, which slices
+the rows in, runs the pass of their field and gives Fractions or floats
+out, depends on the scalar field.
 
 The closed-form functions for 2..5 states evaluate the same exact weights
 from the paper's formulas in the banded parameterization (see
@@ -75,54 +77,58 @@ _UNDERFLOW = ("transition rates underflow double precision; solve this "
               "chain in exact mode")
 
 
-def _state_reduction(q):
-    """Principal minors of the Laplacian of a rate matrix, by one GTH pass.
-
-    ``q`` holds nonnegative rates, Python ints in an object array (exact)
-    or float64; its diagonal is never read.  Its Laplacian is ``I - P`` for
-    a stochastic ``P`` and ``D - A`` for an adjacency ``A``.  Its states are
-    the transitory ones, then one closed class ending in the root ``r``, and
-    every state but ``r`` is eliminated in that order.  Returns ``(minors,
-    x)``, ``x`` proportional to the minors.  A pivot is the sum of its
-    state's remaining rates, so nothing is subtracted.  Exact mode is
-    fraction-free: each update divides exactly by the previous pivot.
-    Float mode is left-looking, and its one range device is binary
-    exponents: each row is scaled exactly to a rate sum in ``[1, 2)``, an
-    ``x_i`` that leaves ``[2^-500, 2^500]`` takes an exponent of its own,
-    and the minors keep their exponents apart.  ``ValueError`` is raised
-    where a pivot underflows to zero, where a closed state's ``x_i`` does
-    and its ``pi_i`` may be representable, or where a rate rounded below
-    the normal range could move ``pi`` by more than ``2^-40`` relative.
+def _int_reduction(q):
+    """The minors of :func:`_state_reduction` for an object array ``q`` of
+    Python ints, in the same order, by a fraction-free pass: each update
+    divides exactly by the previous pivot, so the last pivot is the root's
+    minor, and back-substitution gives the others in integers.
     """
     n = q.shape[0]
-    exact = q.dtype == object
-    if not exact:
-        np.fill_diagonal(q, 0.0)
-        e = np.frexp(q.sum(axis=1))[1] - 1
-        np.ldexp(q, -e[:, None], out=q)
-    pivots = []
-    prev = 1
+    pivots = [1]
     for k in range(n - 1):
         col, row = q[k + 1:, k], q[k, k + 1:]
-        if exact:
-            pivot = row.sum()
-            q[k + 1:, k + 1:] = (q[k + 1:, k + 1:] * pivot
-                                 + np.outer(col, row)) // prev
-            prev = pivot
-        else:
-            row += q[k, :k] @ q[:k, k + 1:]
-            col += q[k + 1:, :k] @ q[:k, k]
-            pivot = float(row.sum())
-            if not pivot > 0:
-                raise ValueError(_UNDERFLOW)
-            row /= pivot
+        pivots.append(row.sum())
+        q[k + 1:, k + 1:] = (q[k + 1:, k + 1:] * pivots[-1]
+                             + np.outer(col, row)) // pivots[-2]
+    x = [pivots[-1]] * n
+    for k in range(n - 2, -1, -1):
+        x[k] = sum(a * b for a, b in zip(q[k + 1:, k].tolist(),
+                                         x[k + 1:])) // pivots[k + 1]
+    return x
+
+
+def _state_reduction(q):
+    """Principal minors of the Laplacian of a float64 rate matrix, by one
+    GTH pass.
+
+    ``q`` holds nonnegative rates; its diagonal is never read.  Its
+    Laplacian is ``I - P`` for a stochastic ``P``.  Its states are the
+    transitory ones, then one closed class ending in the root ``r``, and
+    every state but ``r`` is eliminated in that order.  Returns ``(minors,
+    x)``, ``x`` proportional to the minors.  A pivot is the sum of its
+    state's remaining rates, so nothing is subtracted.  The pass is
+    left-looking, and its one range device is binary exponents: each row
+    is scaled exactly to a rate sum in ``[1, 2)``, an ``x_i`` that leaves
+    ``[2^-500, 2^500]`` takes an exponent of its own, and the minors keep
+    their exponents apart.  ``ValueError`` is raised where a pivot
+    underflows to zero, where a closed state's ``x_i`` does and its
+    ``pi_i`` may be representable, or where a rate rounded below the
+    normal range could move ``pi`` by more than ``2^-40`` relative.
+    """
+    n = q.shape[0]
+    np.fill_diagonal(q, 0.0)
+    e = np.frexp(q.sum(axis=1))[1] - 1
+    np.ldexp(q, -e[:, None], out=q)
+    pivots = []
+    for k in range(n - 1):
+        col, row = q[k + 1:, k], q[k, k + 1:]
+        row += q[k, :k] @ q[:k, k + 1:]
+        col += q[k + 1:, :k] @ q[:k, k]
+        pivot = float(row.sum())
+        if not pivot > 0:
+            raise ValueError(_UNDERFLOW)
+        row /= pivot
         pivots.append(pivot)
-    if exact:
-        x = np.empty(n, dtype=object)
-        x[n - 1] = prev
-        for k in range(n - 2, -1, -1):
-            x[k] = q[k + 1:, k] @ x[k + 1:] // pivots[k]
-        return x, x
     pm, pe = np.frexp(pivots)
     x = np.ones(n)
     f = np.zeros(n, dtype=int)  # x_k stands for x[k] * 2^f[k]
@@ -197,18 +203,14 @@ def _kernel(rows, factors, report):
     if report.n_closed > 1:
         return w, None
     order = report.transitory_states + report.closed_classes[0]
+    pi = w.copy()
     if exact:
         q = np.array([[rows[i][j] for j in order] for i in order],
                      dtype=object)
+        w[order], pi[order] = _fractions(_int_reduction(q),
+                                         [factors[i] for i in order])
     else:
-        q = rows[np.ix_(order, order)]
-    minors, x = _state_reduction(q)
-    pi = w.copy()
-    if exact:
-        w[order], pi[order] = _fractions(minors, [factors[i] for i in order])
-    else:
-        w[order] = minors
-        pi[order] = x
+        w[order], pi[order] = _state_reduction(rows[np.ix_(order, order)])
         # summed in index order, as numpy sums a chain of these states alone
         pi /= pi[sorted(order)].sum()
     return w, pi
@@ -227,18 +229,10 @@ def _with_vertices(report, rows, factors):
         for cls in report.closed_classes])
 
 
-def _weights(rows, factors):
-    """``(weights, pi, report)`` of the chain ``(rows, factors)``: the class
-    pass, then the kernel; ``pi`` is ``None`` when the class decomposition
-    ``report`` has several closed classes.
-    """
-    report = _classes(rows)
-    return (*_kernel(rows, factors, report), report)
-
-
 def _solve(rows, factors):
     """The :class:`EquilibriumResult` of the chain ``(rows, factors)``."""
-    w, pi, report = _weights(rows, factors)
+    report = _classes(rows)
+    w, pi = _kernel(rows, factors, report)
     if pi is None:
         return EquilibriumResult(
             weights=w, decomposition=_with_vertices(report, rows, factors))
@@ -253,7 +247,8 @@ def minor_weights(p):
     they are diagnostics, and :func:`stationary` does not derive ``pi``
     from them.
     """
-    return _weights(*StochasticMatrix.coerce(p)._chain)[0]
+    rows, factors = StochasticMatrix.coerce(p)._chain
+    return _kernel(rows, factors, _classes(rows))[0]
 
 
 def equilibrium_polytope(p):
@@ -301,7 +296,7 @@ def relative_probability(p, i, j):
             raise ValueError(f"state index {k} is not an integer")
         if not 0 <= k < len(rows):
             raise ValueError(f"state index {k} outside 0..{len(rows) - 1}")
-    _, pi, _ = _weights(rows, factors)
+    _, pi = _kernel(rows, factors, _classes(rows))
     if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
             f"state {j} has zero minor weight; ratio undefined")

@@ -1,6 +1,6 @@
 """Independent reference methods for cross-checking the minor construction.
 
-Three routes that share no code with the minor-weight path:
+Three routes that share no arithmetic with the minor-weight kernel:
 
 * :func:`power_method` squares the matrix repeatedly; when the dominant
   eigenvalue 1 is simple and everything else is strictly inside the unit
@@ -8,7 +8,9 @@ Three routes that share no code with the minor-weight path:
   stationary vector.
 * :func:`linear_solve_stationary` solves the defining linear system
   directly, with one redundant column of ``I - P`` replaced by the
-  normalization constraint.
+  normalization constraint.  The class structure from
+  :mod:`~equilib.reducibility` decides first whether that system is
+  singular: it is exactly when there are several closed classes.
 * :func:`perturb` mixes the chain with the uniform one, which makes every
   subdominant eigenvalue strictly smaller than 1 and so lifts any
   degeneracy by an arbitrarily small amount.
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import EXACT, FLOAT, StochasticMatrix, as_float_array
+from .reducibility import communicating_classes
 
 # spread ratios at least this close to 1 count as a stalled squaring
 _STALL_RATIO = 1.0 - 1e-9
@@ -112,15 +115,12 @@ def perturb(p, epsilon):
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fractions; raises when singular."""
+    """Gaussian elimination over Fractions of a nonsingular system."""
     n = len(rows)
     m = [[Fraction(x) for x in row] + [Fraction(b)]
          for row, b in zip(rows, rhs)]
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            raise SingularSystemError(
-                "stationary system is singular; the chain is reducible")
+        piv = next(r for r in range(k, n) if m[r][k] != 0)
         m[k], m[piv] = m[piv], m[k]
         for r in range(k + 1, n):
             if m[r][k] == 0:
@@ -139,11 +139,15 @@ def linear_solve_stationary(p):
 
     The last column of ``I - P`` is redundant (the columns sum to the zero
     vector) and is replaced by the all-ones normalization column.  Exact
-    mode returns exact rationals.  The caller is expected to pass an
-    irreducible chain; a reducible one leaves the system singular and
-    raises :class:`SingularSystemError`.
+    mode returns exact rationals.  A chain with several closed classes
+    leaves the system singular and raises :class:`SingularSystemError`
+    before any solve, in both modes; so does a float system that LAPACK
+    finds singular, or numerically singular by its residual.
     """
     sm = StochasticMatrix.coerce(p)
+    if communicating_classes(sm).n_closed != 1:
+        raise SingularSystemError(
+            "stationary system is singular; the chain is reducible")
     n = sm.n
     a = sm.i_minus_p()
     if sm.mode == EXACT:

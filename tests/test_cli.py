@@ -98,6 +98,12 @@ def test_parse_graph_index_out_of_range():
         parse_input("nodes 2\n1 3\n")
 
 
+def test_parse_graph_without_nodes():
+    with pytest.raises(ParseError,
+                       match="^line 1: node count must be positive$"):
+        parse_input("nodes 0\n")
+
+
 def test_parse_graph_negative_multiplicity():
     with pytest.raises(ParseError, match="^line 3: negative multiplicity$"):
         parse_input("nodes 2\n1 2\n2 1 -1\n")

@@ -2,7 +2,8 @@
 
 Every import sits at module level, so the import graph is what loading the
 package does, and that graph is acyclic: matrix_core, reducibility,
-equilibrium, graph_walk, then cli, with oracle on matrix_core alone.
+equilibrium, graph_walk, then cli, with oracle on matrix_core and
+reducibility (its linear solve reads the class structure first).
 """
 
 import ast

@@ -151,6 +151,18 @@ def test_linear_solve_reducible_raises():
         linear_solve_stationary([[F(1), F(0)], [F(0), F(1)]])
     with pytest.raises(SingularSystemError):
         linear_solve_stationary(np.eye(3))
+    # two closed classes, however the system rounds: 1 - 0.7 and 0.3
+    # differ in the last bit, so LAPACK meets no zero pivot
+    two = [[0.7, 0.3, 0], [0.1, 0.9, 0], [0, 0, 1.0]]
+    for p in (np.array(two), np.array(two)[np.ix_([1, 0, 2], [1, 0, 2])],
+              [[F(str(x)) for x in row] for row in two]):
+        with pytest.raises(SingularSystemError, match="singular; the chain"):
+            linear_solve_stationary(p)
+    # one closed class, but state 0's exit rounds away from its diagonal:
+    # the float system has an exactly zero pivot
+    with pytest.raises(SingularSystemError) as info:
+        linear_solve_stationary(np.array([[1.0, 1e-17], [0.0, 1.0]]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     # state 2 all but absorbing: LU's pivot is tiny, not zero, and the
     # residual gives the system away
     with pytest.raises(SingularSystemError, match="numerically singular"):
