@@ -301,20 +301,11 @@ def _read_source(path):
 
 
 # ---------------------------------------------------------------------------
-# output formatting
+# output: each command returns its JSON payload and exit code, and main
+# prints the payload, as JSON or as the text that _text renders from it
+# field by field, so the two cannot disagree.  In text an exact scalar (a
+# string) and an int print as they are, and a float with ``.6g``.
 # ---------------------------------------------------------------------------
-
-def _fmt_scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".6g")
-
-
-def _fmt_vector(v):
-    return "[" + ", ".join(_fmt_scalar(x) for x in v) + "]"
-
 
 def _json_scalar(x):
     return str(x) if isinstance(x, Fraction) else float(x)
@@ -322,23 +313,6 @@ def _json_scalar(x):
 
 def _json_vector(v):
     return [_json_scalar(x) for x in v]
-
-
-def _report_text(report):
-    lines = ["communicating classes:"]
-    for k, (cls, closed) in enumerate(
-        zip(report.classes, report.closed_flags), start=1
-    ):
-        states = " ".join(str(i + 1) for i in cls)
-        lines.append(
-            f"  class {k} ({'closed' if closed else 'open'}): states {states}")
-    transitory = " ".join(str(i + 1) for i in report.transitory_states)
-    lines.append(f"transitory states: {transitory if transitory else '(none)'}")
-    if report.vertex_equilibria is not None:
-        lines.append("vertex equilibria:")
-        for v in report.vertex_equilibria:
-            lines.append(f"  {_fmt_vector(v)}")
-    return lines
 
 
 def _report_json(report):
@@ -353,16 +327,58 @@ def _report_json(report):
     return out
 
 
-def _emit(args, lines, payload):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _fmt(x):
+    """A payload scalar, or a list of them, as text."""
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_fmt, x)) + "]"
+    return format(x, ".6g") if isinstance(x, float) else str(x)
+
+
+# compare's text for a method whose entry holds a status in place of pi
+_STATUS_TEXT = {"degenerate": "degenerate", "singular": "singular system",
+                "not converged": "not converged (spread {final_spread:.3g})"}
+
+
+def _text(payload):
+    """The lines of text that render a command's ``payload``."""
+    kind = payload["kind"]
+    if kind == "compare":
+        yield f"{'method':<14} {'pi':<40} {'residual':<12} seconds"
+        for name, m in payload["methods"].items():
+            vec, resid = ((_fmt(m["pi"]), _fmt(m["residual"])) if "pi" in m
+                          else (_STATUS_TEXT[m["status"]].format(**m), "-"))
+            yield f"{name:<14} {vec:<40} {resid:<12} {m['seconds']:.4f}"
+        if "max_pairwise_linf" in payload:
+            yield ("max pairwise L-inf difference: "
+                   f"{payload['max_pairwise_linf']:.3g}")
+        return
+    for key, value in payload.items():
+        if key == "variant" and value == "degenerate":
+            yield "degenerate chain: no unique equilibrium"
+        elif key == "report":
+            yield "communicating classes:"
+            for k, (cls, closed) in enumerate(
+                    zip(value["classes"], value["closed_flags"]), start=1):
+                yield (f"  class {k} ({'closed' if closed else 'open'}): "
+                       f"states {' '.join(map(str, cls))}")
+            transitory = " ".join(map(str, value["transitory_states"]))
+            yield f"transitory states: {transitory or '(none)'}"
+            if "vertex_equilibria" in value:
+                yield "vertex equilibria:"
+                for v in value["vertex_equilibria"]:
+                    yield f"  {_fmt(v)}"
+        elif key == "weights" and kind == "weights":
+            yield f"w = {_fmt(value)}"
+        elif key == "value":
+            yield f"pi[{payload['i']}] / pi[{payload['j']}] = {_fmt(value)}"
+        elif key in ("numerators", "denominator", "total", "pi", "residual"):
+            yield f"{key} = {_fmt(value)}"
+    if "numerators" in payload and "pi" not in payload:
+        yield "degenerate chain: all weights vanish"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, exit code)
 # ---------------------------------------------------------------------------
 
 def _cmd_stationary(doc, args):
@@ -375,14 +391,10 @@ def _cmd_stationary(doc, args):
     if res.unique:
         payload["variant"] = "unique"
         payload["pi"] = _json_vector(res.pi)
-        _emit(args, [f"pi = {_fmt_vector(res.pi)}"], payload)
-        return 0
+        return payload, 0
     payload["variant"] = "degenerate"
     payload["report"] = _report_json(res.decomposition)
-    lines = ["degenerate chain: no unique equilibrium"]
-    lines += _report_text(res.decomposition)
-    _emit(args, lines, payload)
-    return 2
+    return payload, 2
 
 
 def _cmd_weights(doc, args):
@@ -391,57 +403,41 @@ def _cmd_weights(doc, args):
         payload = {"kind": "weights", "mode": EXACT,
                    "numerators": list(ge.numerators),
                    "denominator": ge.denominator}
-        lines = [f"numerators = {_fmt_vector(ge.numerators)}",
-                 f"denominator = {ge.denominator}"]
-        if ge.unique:
-            payload["pi"] = _json_vector(ge.result.pi)
-            lines.append(f"pi = {_fmt_vector(ge.result.pi)}")
-            _emit(args, lines, payload)
-            return 0
-        lines.append("degenerate chain: all weights vanish")
-        _emit(args, lines, payload)
-        return 2
+        if not ge.unique:
+            return payload, 2
+        payload["pi"] = _json_vector(ge.result.pi)
+        return payload, 0
     w = minor_weights(doc)
-    total = w.sum()
     payload = {"kind": "weights", "mode": doc.mode,
-               "weights": _json_vector(w), "total": _json_scalar(total)}
-    lines = [f"w = {_fmt_vector(w)}", f"total = {_fmt_scalar(total)}"]
-    _emit(args, lines, payload)
+               "weights": _json_vector(w), "total": _json_scalar(w.sum())}
     # float weights may underflow to zero: structure decides the exit code
-    return 0 if communicating_classes(doc).n_closed == 1 else 2
+    return payload, 0 if communicating_classes(doc).n_closed == 1 else 2
 
 
 def _cmd_classes(doc, args):
     report = communicating_classes(doc)
-    payload = {"kind": "classes", "report": _report_json(report)}
-    _emit(args, _report_text(report), payload)
-    return 0 if report.n_closed == 1 else 2
+    return ({"kind": "classes", "report": _report_json(report)},
+            0 if report.n_closed == 1 else 2)
 
 
 def _cmd_polytope(doc, args):
     report = equilibrium_polytope(doc)
-    payload = {"kind": "polytope", "report": _report_json(report)}
-    _emit(args, _report_text(report), payload)
-    return 0 if len(report.vertex_equilibria) == 1 else 2
+    return ({"kind": "polytope", "report": _report_json(report)},
+            0 if report.n_closed == 1 else 2)
 
 
 def _cmd_ratio(doc, args):
     if not (1 <= args.i <= doc.n and 1 <= args.j <= doc.n):
         raise ParseError(f"state indices must be in 1..{doc.n}")
     value = relative_probability(doc, args.i - 1, args.j - 1)
-    payload = {"kind": "ratio", "i": args.i, "j": args.j,
-               "value": _json_scalar(value)}
-    _emit(args, [f"pi[{args.i}] / pi[{args.j}] = {_fmt_scalar(value)}"],
-          payload)
-    return 0
+    return {"kind": "ratio", "i": args.i, "j": args.j,
+            "value": _json_scalar(value)}, 0
 
 
 def _cmd_verify(doc, args):
     pi = _parse_vector(_read_source(args.pi_file))
     residual = verify_equilibrium(pi, doc)
-    payload = {"kind": "verify", "residual": _json_scalar(residual)}
-    _emit(args, [f"residual = {_fmt_scalar(residual)}"], payload)
-    return 0
+    return {"kind": "verify", "residual": _json_scalar(residual)}, 0
 
 
 def _parse_vector(text):
@@ -469,22 +465,15 @@ def _parse_vector(text):
 
 
 def _cmd_compare(doc, args):
-    rows = []
-    payload_methods = {}
+    methods = {}
     pis = {}
 
     def solved(name, seconds, pi, **extra):
-        resid = verify_equilibrium(pi, doc)
-        rows.append((name, _fmt_vector(pi), _fmt_scalar(resid),
-                     f"{seconds:.4f}"))
-        payload_methods[name] = {
-            "pi": _json_vector(pi), "residual": _json_scalar(resid),
+        methods[name] = {
+            "pi": _json_vector(pi),
+            "residual": _json_scalar(verify_equilibrium(pi, doc)),
             "seconds": seconds, **extra}
         pis[name] = np.array([float(x) for x in pi])
-
-    def failed(name, text, status, **fields):
-        rows.append((name, text, "-", f"{fields['seconds']:.4f}"))
-        payload_methods[name] = {"status": status, **fields}
 
     t0 = time.perf_counter()
     res = stationary(doc)
@@ -492,14 +481,14 @@ def _cmd_compare(doc, args):
     if res.unique:
         solved("minor_weights", seconds, res.pi)
     else:
-        failed("minor_weights", "degenerate", "degenerate", seconds=seconds)
+        methods["minor_weights"] = {"status": "degenerate", "seconds": seconds}
 
     t0 = time.perf_counter()
     try:
         pi_solve = linear_solve_stationary(doc)
     except SingularSystemError:
-        failed("linear_solve", "singular system", "singular",
-               seconds=time.perf_counter() - t0)
+        methods["linear_solve"] = {"status": "singular",
+                                   "seconds": time.perf_counter() - t0}
     else:
         solved("linear_solve", time.perf_counter() - t0, pi_solve)
 
@@ -510,25 +499,17 @@ def _cmd_compare(doc, args):
         solved("power_method", seconds, pm.pi_estimate,
                squarings=pm.iterations)
     else:
-        failed("power_method",
-               f"not converged (spread {pm.final_spread:.3g})",
-               "not converged", final_spread=pm.final_spread,
-               seconds=seconds, squarings=pm.iterations)
+        methods["power_method"] = {
+            "status": "not converged", "final_spread": pm.final_spread,
+            "seconds": seconds, "squarings": pm.iterations}
 
-    lines = [f"{'method':<14} {'pi':<40} {'residual':<12} seconds"]
-    for name, vec, resid, secs in rows:
-        lines.append(f"{name:<14} {vec:<40} {resid:<12} {secs}")
-    payload = {"kind": "compare", "mode": doc.mode,
-               "methods": payload_methods}
+    payload = {"kind": "compare", "mode": doc.mode, "methods": methods}
     if len(pis) >= 2:
         names = sorted(pis)
-        diff = max(
+        payload["max_pairwise_linf"] = max(
             float(np.max(np.abs(pis[a] - pis[b])))
             for k, a in enumerate(names) for b in names[k + 1:])
-        lines.append(f"max pairwise L-inf difference: {diff:.3g}")
-        payload["max_pairwise_linf"] = diff
-    _emit(args, lines, payload)
-    return 0 if res.unique else 2
+    return payload, 0 if res.unique else 2
 
 
 _COMMANDS = {
@@ -616,7 +597,12 @@ def main(argv=None):
         if args.epsilon is not None:
             doc = perturb(doc, _scalar(args.epsilon, doc.mode,
                                        "--epsilon value"))
-        return _COMMANDS[args.command](doc, args)
+        payload, code = _COMMANDS[args.command](doc, args)
+        # rendered here, inside the try: an int past the digit limit
+        # fails as an error of the run
+        print(json.dumps(payload, indent=2) if args.json
+              else "\n".join(_text(payload)))
+        return code
     except ZeroOutDegreeError as exc:
         print(f"error: node {exc.node + 1} has no outgoing edges; "
               f"the random walk is undefined", file=sys.stderr)

@@ -149,7 +149,11 @@ def linear_solve_stationary(p):
         raise SingularSystemError(
             "stationary system is singular; the chain is reducible")
     n = sm.n
-    a = sm.i_minus_p()
+    # I - P with each diagonal entry the off-diagonal row sum, as the
+    # kernel builds its pivots: a float 1 - p_ii can round an exit away
+    a = -sm.p
+    np.fill_diagonal(a, 0)
+    np.fill_diagonal(a, -a.sum(axis=1))
     if sm.mode == EXACT:
         rows = [[a[i, j] for i in range(n)] for j in range(n - 1)]
         rows.append([Fraction(1)] * n)

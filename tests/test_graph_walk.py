@@ -53,6 +53,7 @@ def test_rejects_negative_and_fractional_entries():
 def test_from_edges_accumulates_multiplicity():
     g = Graph.from_edges(2, [(0, 1), (0, 1, 2), (1, 0)])
     assert g.adjacency == [[0, 3], [1, 0]]
+    assert repr(g) == "Graph(n=2)"
 
 
 @pytest.mark.parametrize("edges, message", [

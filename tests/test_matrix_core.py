@@ -332,6 +332,8 @@ def test_mode_inference():
     assert exact.to_float().mode == "float"
     assert floaty.to_exact().mode == "exact"
     assert exact.to_exact() is exact and floaty.to_float() is floaty
+    assert repr(exact) == "StochasticMatrix(n=2, mode='exact')"
+    assert repr(floaty) == "StochasticMatrix(n=2, mode='float')"
 
 
 def test_minor_full_matrix_by_index():

@@ -158,18 +158,31 @@ def test_linear_solve_reducible_raises():
               [[F(str(x)) for x in row] for row in two]):
         with pytest.raises(SingularSystemError, match="singular; the chain"):
             linear_solve_stationary(p)
-    # one closed class, but state 0's exit rounds away from its diagonal:
-    # the float system has an exactly zero pivot
+    # one closed class, and state 0's exit is below half an ulp of 1: the
+    # diagonal is the off-diagonal row sum, so the exit is kept
+    chain = np.array([[1.0, 1e-17], [0.0, 1.0]])
+    assert linear_solve_stationary(chain).tolist() == [0.0, 1.0]
+    assert stationary(chain).pi.tolist() == [0.0, 1.0]
+    # one closed class, and the system is nonsingular, but 0.25 + 1e-17
+    # rounds to 0.25 in LU's elimination, which meets an exactly zero pivot
     with pytest.raises(SingularSystemError) as info:
-        linear_solve_stationary(np.array([[1.0, 1e-17], [0.0, 1.0]]))
+        linear_solve_stationary(np.array([
+            [0.5, 0.25, 0.25], [0.0, 1.0, 1e-17], [0.0, 0.0, 1.0]]))
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
-    # state 2 all but absorbing: LU's pivot is tiny, not zero, and the
-    # residual gives the system away
+    # state 2 all but absorbing: its exit, 1 - p_22, rounded to a tiny
+    # pivot, but the off-diagonal row sum gives LU a well-posed system
+    chain = np.array([
+        [4.719778182063751e-09, 0.9999999952802218, 0.0],
+        [2.0315859794030694e-12, 0.9999999999979685, 0.0],
+        [1.0060184137214467e-16, 0.0, 0.9999999999999999]])
+    assert np.abs(linear_solve_stationary(chain)
+                  - stationary(chain).pi).max() <= 1e-15
+    # two blocks coupled at rate 1e-300: LU meets no zero pivot, and the
+    # residual gives the ill-conditioned system away
     with pytest.raises(SingularSystemError, match="numerically singular"):
         linear_solve_stationary(np.array([
-            [4.719778182063751e-09, 0.9999999952802218, 0.0],
-            [2.0315859794030694e-12, 0.9999999999979685, 0.0],
-            [1.0060184137214467e-16, 0.0, 0.9999999999999999]]))
+            [0.25, 1e-300, 0.0, 0.75], [1e-300, 0.5, 0.5, 0.0],
+            [0.0, 0.25, 0.75, 1e-300], [0.5, 1e-300, 1e-300, 0.5]]))
 
 
 def test_linear_solve_float_mode():
