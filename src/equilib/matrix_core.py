@@ -14,8 +14,11 @@ Matrices live in one of two scalar modes:
   LU factorization (``numpy.linalg.det``), rounded like any float product.
 
 A computation never mixes the two modes.  Non-finite entries are rejected.
-The stationary weights do not use these determinants: one O(n^3) state
-reduction in :mod:`equilib.equilibrium` yields all ``n`` principal minors.
+The matrix argument of :func:`determinant`, :func:`minor`, :func:`adjugate`,
+:func:`is_z_matrix` and :class:`StochasticMatrix` is read by one function,
+``_square``, which checks its shape and settles its mode.  The stationary
+weights do not use these determinants: one O(n^3) state reduction in
+:mod:`equilib.equilibrium` yields all ``n`` principal minors.
 """
 
 import math
@@ -81,48 +84,38 @@ def _square_rows(data):
     return a
 
 
-def _exact_rows(a, mode):
-    """The rows of ``a``, from :func:`_square_rows`, as lists of Fractions.
+def _square(data, mode=None):
+    """Coerce to a square ndarray in a single scalar mode.
 
-    Returns ``None`` for a float matrix: ``mode`` is float, or it is unset
-    and ``a`` has a float dtype or a float entry.
+    Exact mode gives an object array of Fractions that keeps the caller's
+    Fraction objects; float mode gives float64 with every entry finite.
+    With ``mode`` unset, a float dtype or a float entry makes it float.
     """
-    if mode == FLOAT or mode is None and isinstance(a, np.ndarray) \
-            and a.dtype.kind == "f":
-        return None
-    out = []
-    for i, row in enumerate(a.tolist() if isinstance(a, np.ndarray) else a):
+    a = _square_rows(data)
+    if mode != FLOAT and not (mode is None and isinstance(a, np.ndarray)
+                              and a.dtype.kind == "f"):
+        rows = []
         try:
-            out.append([x if type(x) is Fraction
-                        else _to_fraction(x, mode is None) for x in row])
+            for row in a.tolist() if isinstance(a, np.ndarray) else a:
+                rows.append([x if type(x) is Fraction
+                             else _to_fraction(x, mode is None) for x in row])
         except _FloatEntry:
-            return None
+            pass
         except (ValueError, OverflowError):
             for j, x in enumerate(row, start=1):
                 if isinstance(x, (float, np.floating)) \
                         and not math.isfinite(x):
-                    raise ValueError(f"entry at row {i + 1}, column {j} "
-                                     "is not finite") from None
+                    raise ValueError(f"entry at row {len(rows) + 1}, "
+                                     f"column {j} is not finite") from None
             raise
-    return out
-
-
-def _float_square(a):
+        else:
+            return np.array(rows, dtype=object).reshape(len(a), len(a))
     f = as_float_array(a)
     bad = np.argwhere(~np.isfinite(f))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"entry at row {i + 1}, column {j + 1} is not finite")
     return f
-
-
-def _square(data, mode=None):
-    """Coerce to a square ndarray in a single scalar mode."""
-    a = _square_rows(data)
-    rows = _exact_rows(a, mode)
-    if rows is None:
-        return _float_square(a)
-    return np.array(rows, dtype=object).reshape(len(a), len(a))
 
 
 def identity_matrix(n, mode=EXACT):
@@ -292,14 +285,14 @@ class StochasticMatrix:
     """
 
     def __init__(self, rows, mode=None):
-        a = _square_rows(rows)
-        n = len(a)
+        p = _square(rows, mode)
+        n = len(p)
         if n == 0:
             raise ValueError("a stochastic matrix needs at least one state")
-        fractions = _exact_rows(a, mode)
-        if fractions is not None:
+        self.mode = matrix_mode(p)
+        if self.mode == EXACT:
             # signs and row sums are checked on the integer-cleared rows
-            ints, factors = self._cleared = clear_denominators(fractions)
+            ints, factors = self._cleared = clear_denominators(p.tolist())
             for i, (row, f) in enumerate(zip(ints, factors), start=1):
                 if min(row) < 0:
                     j = next(j for j, v in enumerate(row, start=1) if v < 0)
@@ -307,10 +300,7 @@ class StochasticMatrix:
                 if sum(row) != f:
                     raise ValueError(f"row {i} sums to {Fraction(sum(row), f)}"
                                      ", expected 1")
-            p = np.array(fractions, dtype=object)
-            self.mode = EXACT
         else:
-            p = _float_square(a)
             bad = np.argwhere(p < -FLOAT_SIGN_SLACK)
             if bad.size:
                 i, j = bad[0]
@@ -325,7 +315,6 @@ class StochasticMatrix:
                     f"row {i + 1} sums to {float(sums[i])!r}, expected 1")
             p = p / sums[:, None]
             self._cleared = None
-            self.mode = FLOAT
         self.p = p
         self.n = n
 
@@ -340,7 +329,7 @@ class StochasticMatrix:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return StochasticMatrix(as_float_array(self.p), mode=FLOAT)
+        return StochasticMatrix(self.p, mode=FLOAT)
 
     def to_exact(self):
         if self.mode == EXACT:

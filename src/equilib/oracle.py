@@ -30,7 +30,8 @@ _STALL_LIMIT = 5
 
 
 class SingularSystemError(ValueError):
-    """The stationary linear system is rank deficient (reducible chain)."""
+    """The stationary linear system is singular: the chain has several
+    closed classes, or its float system is singular in floating point."""
 
 
 @dataclass
@@ -63,8 +64,7 @@ def power_method(p, tol=1e-12, max_squarings=60):
     outcome rather than an error.  The estimate is the average row of the
     final power, renormalized.
     """
-    sm = StochasticMatrix.coerce(p).to_float()
-    a = np.array(sm.p, dtype=float)
+    a = StochasticMatrix.coerce(p).to_float().p
     spread = _column_spread(a)
     iterations = 0
     converged = spread <= tol
@@ -77,8 +77,6 @@ def power_method(p, tol=1e-12, max_squarings=60):
         iterations += 1
         new_spread = _column_spread(b)
         if np.array_equal(b, a):
-            spread = new_spread
-            converged = spread <= tol
             break
         stalls = stalls + 1 if spread > 0 and new_spread >= spread * _STALL_RATIO else 0
         a, spread = b, new_spread
@@ -148,31 +146,26 @@ def linear_solve_stationary(p):
     if communicating_classes(sm).n_closed != 1:
         raise SingularSystemError(
             "stationary system is singular; the chain is reducible")
-    n = sm.n
     # I - P with each diagonal entry the off-diagonal row sum, as the
     # kernel builds its pivots: a float 1 - p_ii can round an exit away
     a = -sm.p
     np.fill_diagonal(a, 0)
     np.fill_diagonal(a, -a.sum(axis=1))
+    a[:, sm.n - 1] = 1
+    # e_n in float64: its 0.0 and 1.0 are exact in either field
+    rhs = np.eye(sm.n)[-1]
     if sm.mode == EXACT:
-        rows = [[a[i, j] for i in range(n)] for j in range(n - 1)]
-        rows.append([Fraction(1)] * n)
-        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        return np.array(_solve_exact(rows, rhs), dtype=object)
-    system = np.array(a, dtype=float)
-    system[:, n - 1] = 1.0
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
+        return np.array(_solve_exact(a.T.tolist(), rhs), dtype=object)
     try:
-        x = np.linalg.solve(system.T, rhs)
+        x = np.linalg.solve(a.T, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            "stationary system is singular; the chain is reducible"
-        ) from exc
+            "stationary system is singular in floating point; "
+            "the chain has one closed class") from exc
     # LAPACK only raises on an exactly zero pivot; catch the
     # numerically singular case through the residual
-    if not np.isfinite(x).all() or np.abs(system.T @ x - rhs).max() > 1e-8:
+    if not np.isfinite(x).all() or np.abs(a.T @ x - rhs).max() > 1e-8:
         raise SingularSystemError(
             "stationary system is numerically singular; "
-            "the chain is reducible")
+            "the chain has one closed class")
     return x

@@ -329,6 +329,7 @@ def test_mode_inference():
     assert matrix_mode(exact.p) == "exact"
     floaty = StochasticMatrix([[0.5, 0.5], [1.0, 0.0]])
     assert floaty.mode == "float"
+    assert np.array_equal(floaty.i_minus_p(), np.eye(2) - floaty.p)
     assert exact.to_float().mode == "float"
     assert floaty.to_exact().mode == "exact"
     assert exact.to_exact() is exact and floaty.to_float() is floaty
@@ -388,4 +389,5 @@ def test_minor_determinant_and_adjugate_coerce_once(monkeypatch):
     adjugate(m)
     minor(m, 2, 3)
     determinant(m)
-    assert calls == [(6, 6)] * 3
+    StochasticMatrix([[F(1, 2), F(1, 2)], [F(1), F(0)]])
+    assert calls == [(6, 6)] * 3 + [(2, 2)]
