@@ -6,13 +6,15 @@ Usage::
             [--epsilon X] [file|-]
 
 Subcommands: ``stationary``, ``weights``, ``classes``, ``polytope``,
-``ratio I J``, ``compare``, ``verify PI_FILE``.  Input is a matrix file
-(one row per line, entries as integers, decimals or rationals ``a/b``), a
-graph edge list headed by ``nodes N``, or a JSON document with fields
-``kind``/``n``/``rows``.  All state indices in input and output are
-1-based.  A float entry is an edge of the chain exactly when it is
-nonzero.  Exit status: 0 for a unique equilibrium, 2 for a degenerate
-chain, 1 for errors.
+``ratio I J``, ``compare``, ``verify PI_FILE``.  The command table
+``_COMMANDS`` is the one list of them: it holds each one's handler and
+help text, the parser is built from it, and ``main`` dispatches through
+it.  Input is a matrix file (one row per line, entries as integers,
+decimals or rationals ``a/b``), a graph edge list headed by ``nodes N``,
+or a JSON document with fields ``kind``/``n``/``rows``.  All state
+indices in input and output are 1-based.  A float entry is an edge of the
+chain exactly when it is nonzero.  Exit status: 0 for a unique
+equilibrium, 2 for a degenerate chain, 1 for errors.
 """
 
 import argparse
@@ -215,13 +217,20 @@ def _parse_graph_text(lines):
     return Graph.from_edges(n, edges)
 
 
-def _parse_json_document(text, mode):
-    # a malformed document, or an int past the digit limit, which json
-    # reports as a plain ValueError
+def _json(text, what):
+    """The JSON value of ``text``, named ``what`` in messages.
+
+    A malformed document, or an int past the digit limit, which json
+    reports as a plain ``ValueError``, is a :class:`ParseError`.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
-        raise ParseError(f"invalid JSON document: {exc}") from exc
+        raise ParseError(f"invalid JSON {what}: {exc}") from exc
+
+
+def _parse_json_document(text, mode):
+    doc = _json(text, "document")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("JSON document must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -414,15 +423,10 @@ def _cmd_weights(doc, args):
     return payload, 0 if communicating_classes(doc).n_closed == 1 else 2
 
 
-def _cmd_classes(doc, args):
-    report = communicating_classes(doc)
-    return ({"kind": "classes", "report": _report_json(report)},
-            0 if report.n_closed == 1 else 2)
-
-
-def _cmd_polytope(doc, args):
-    report = equilibrium_polytope(doc)
-    return ({"kind": "polytope", "report": _report_json(report)},
+def _cmd_report(analyse, doc, args):
+    """``classes`` or ``polytope``: the report of ``analyse(doc)``."""
+    report = analyse(doc)
+    return ({"kind": args.command, "report": _report_json(report)},
             0 if report.n_closed == 1 else 2)
 
 
@@ -449,10 +453,7 @@ def _parse_vector(text):
         if not entries:
             raise ParseError("no vector entries found")
     else:
-        try:
-            entries = json.loads(text)
-        except ValueError as exc:  # as in _parse_json_document
-            raise ParseError(f"invalid JSON vector: {exc}") from exc
+        entries = _json(text, "vector")
         if isinstance(entries, dict):
             entries = entries.get("pi")
         if not isinstance(entries, list):
@@ -464,44 +465,44 @@ def _parse_vector(text):
     return [_scalar(x, mode, "vector entry") for x in entries]
 
 
-def _cmd_compare(doc, args):
-    methods = {}
-    pis = {}
-
-    def solved(name, seconds, pi, **extra):
-        methods[name] = {
-            "pi": _json_vector(pi),
-            "residual": _json_scalar(verify_equilibrium(pi, doc)),
-            "seconds": seconds, **extra}
-        pis[name] = np.array([float(x) for x in pi])
-
-    t0 = time.perf_counter()
+# compare's methods: each returns ``(found, tail)``, ``found`` being its
+# vector or the status fields that replace it, and ``tail`` the fields
+# that follow ``seconds`` in its entry
+def _by_minors(doc, args):
     res = stationary(doc)
-    seconds = time.perf_counter() - t0
-    if res.unique:
-        solved("minor_weights", seconds, res.pi)
-    else:
-        methods["minor_weights"] = {"status": "degenerate", "seconds": seconds}
+    return (res.pi if res.unique else {"status": "degenerate"}), {}
 
-    t0 = time.perf_counter()
+
+def _by_linear_solve(doc, args):
     try:
-        pi_solve = linear_solve_stationary(doc)
+        return linear_solve_stationary(doc), {}
     except SingularSystemError:
-        methods["linear_solve"] = {"status": "singular",
-                                   "seconds": time.perf_counter() - t0}
-    else:
-        solved("linear_solve", time.perf_counter() - t0, pi_solve)
+        return {"status": "singular"}, {}
 
-    t0 = time.perf_counter()
+
+def _by_power_method(doc, args):
     pm = power_method(doc, tol=args.tol)
-    seconds = time.perf_counter() - t0
-    if pm.converged:
-        solved("power_method", seconds, pm.pi_estimate,
-               squarings=pm.iterations)
-    else:
-        methods["power_method"] = {
-            "status": "not converged", "final_spread": pm.final_spread,
-            "seconds": seconds, "squarings": pm.iterations}
+    found = pm.pi_estimate if pm.converged else {
+        "status": "not converged", "final_spread": pm.final_spread}
+    return found, {"squarings": pm.iterations}
+
+
+def _cmd_compare(doc, args):
+    methods, pis = {}, {}
+    for name, method in (("minor_weights", _by_minors),
+                         ("linear_solve", _by_linear_solve),
+                         ("power_method", _by_power_method)):
+        t0 = time.perf_counter()
+        found, tail = method(doc, args)
+        seconds = time.perf_counter() - t0
+        if isinstance(found, dict):
+            methods[name] = {**found, "seconds": seconds, **tail}
+            continue
+        methods[name] = {
+            "pi": _json_vector(found),
+            "residual": _json_scalar(verify_equilibrium(found, doc)),
+            "seconds": seconds, **tail}
+        pis[name] = np.array([float(x) for x in found])
 
     payload = {"kind": "compare", "mode": doc.mode, "methods": methods}
     if len(pis) >= 2:
@@ -509,17 +510,24 @@ def _cmd_compare(doc, args):
         payload["max_pairwise_linf"] = max(
             float(np.max(np.abs(pis[a] - pis[b])))
             for k, a in enumerate(names) for b in names[k + 1:])
-    return payload, 0 if res.unique else 2
+    return payload, 2 if "status" in methods["minor_weights"] else 0
 
 
+# the one list of subcommands, in the order --help shows them: each name's
+# handler, which returns (payload, exit code), and its help text
 _COMMANDS = {
-    "stationary": _cmd_stationary,
-    "weights": _cmd_weights,
-    "classes": _cmd_classes,
-    "polytope": _cmd_polytope,
-    "ratio": _cmd_ratio,
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
+    "stationary": (_cmd_stationary,
+                   "stationary distribution, or the degeneracy report"),
+    "weights": (_cmd_weights,
+                "unnormalized minor weights (integers for graphs)"),
+    "classes": (functools.partial(_cmd_report, communicating_classes),
+                "communicating classes and closed/transitory split"),
+    "polytope": (functools.partial(_cmd_report, equilibrium_polytope),
+                 "vertex equilibria spanning all stationary vectors"),
+    "ratio": (_cmd_ratio, "stationary probability ratio of two states"),
+    "compare": (_cmd_compare,
+                "minor method vs. linear solve vs. power method"),
+    "verify": (_cmd_verify, "residual of a candidate stationary vector"),
 }
 
 
@@ -539,7 +547,15 @@ def _build_parser():
                     "from principal minors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "ratio":
+            for index in ("i", "j"):
+                p.add_argument(index, type=_state_index,
+                               help="state index (1-based)")
+        if name == "verify":
+            p.add_argument("pi_file", metavar="pi-file",
+                           help="vector file: text entries or JSON with 'pi'")
         p.add_argument("source", nargs="?", default="-", metavar="file|-",
                        help="input file, or - for stdin (default)")
         p.add_argument("--json", action="store_true",
@@ -554,25 +570,6 @@ def _build_parser():
         p.add_argument("--epsilon", default=None, metavar="X",
                        help="perturb the chain toward uniform by X before "
                             "computing")
-
-    for name, help_text in [
-        ("stationary", "stationary distribution, or the degeneracy report"),
-        ("weights", "unnormalized minor weights (integers for graphs)"),
-        ("classes", "communicating classes and closed/transitory split"),
-        ("polytope", "vertex equilibria spanning all stationary vectors"),
-        ("ratio", "stationary probability ratio of two states"),
-        ("compare", "minor method vs. linear solve vs. power method"),
-        ("verify", "residual of a candidate stationary vector"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        if name == "ratio":
-            for index in ("i", "j"):
-                p.add_argument(index, type=_state_index,
-                               help="state index (1-based)")
-        if name == "verify":
-            p.add_argument("pi_file", metavar="pi-file",
-                           help="vector file: text entries or JSON with 'pi'")
-        add_common(p)
     return parser
 
 
@@ -597,7 +594,7 @@ def main(argv=None):
         if args.epsilon is not None:
             doc = perturb(doc, _scalar(args.epsilon, doc.mode,
                                        "--epsilon value"))
-        payload, code = _COMMANDS[args.command](doc, args)
+        payload, code = _COMMANDS[args.command][0](doc, args)
         # rendered here, inside the try: an int past the digit limit
         # fails as an error of the run
         print(json.dumps(payload, indent=2) if args.json

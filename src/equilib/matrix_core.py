@@ -22,6 +22,7 @@ weights do not use these determinants: one O(n^3) state reduction in
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -103,8 +104,9 @@ def _square(data, mode=None):
             pass
         except (ValueError, OverflowError):
             for j, x in enumerate(row, start=1):
-                if isinstance(x, (float, np.floating)) \
-                        and not math.isfinite(x):
+                if isinstance(x, Decimal) and not x.is_finite() or (
+                        isinstance(x, (float, np.floating))
+                        and not math.isfinite(x)):
                     raise ValueError(f"entry at row {len(rows) + 1}, "
                                      f"column {j} is not finite") from None
             raise
@@ -163,11 +165,8 @@ def int_determinant(rows):
         for i in range(k + 1, n):
             row = m[i]
             lead = row[k]
-            if lead == 0 and all(v == 0 for v in row[k + 1:]):
-                continue
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-            row[k] = 0
         prev = pivot
     return sign * m[-1][-1]
 
@@ -332,9 +331,17 @@ class StochasticMatrix:
         return StochasticMatrix(self.p, mode=FLOAT)
 
     def to_exact(self):
+        """The exact copy: each row's binary values over their exact sum.
+
+        Float validation divides each row by its float sum, which need not
+        make the exact sum 1; this division does, and moves each entry by
+        the relative amount that its row's exact sum misses 1.
+        """
         if self.mode == EXACT:
             return self
-        return StochasticMatrix(self.p, mode=EXACT)
+        rows, _ = clear_denominators(self.p.tolist())
+        return StochasticMatrix(
+            [[Fraction(a, sum(row)) for a in row] for row in rows], mode=EXACT)
 
     def i_minus_p(self):
         """The singular Z-matrix ``I - P`` in the matrix's own mode."""

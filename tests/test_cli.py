@@ -327,6 +327,41 @@ def test_unknown_flag_exits_one(capsys):
     assert code == 1
 
 
+def _help_lines(capsys, monkeypatch, *argv):
+    """The stripped lines of ``--help`` at 80 columns; the exit must be 0.
+
+    The lines are matched, not the whole page: the heading of the options
+    differs between Python versions.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    return [" ".join(line.split()) for line in out.splitlines()]
+
+
+def test_help_lists_each_subcommand_in_order(capsys, monkeypatch):
+    lines = _help_lines(capsys, monkeypatch)
+    expected = [
+        "stationary stationary distribution, or the degeneracy report",
+        "weights unnormalized minor weights (integers for graphs)",
+        "classes communicating classes and closed/transitory split",
+        "polytope vertex equilibria spanning all stationary vectors",
+        "ratio stationary probability ratio of two states",
+        "compare minor method vs. linear solve vs. power method",
+        "verify residual of a candidate stationary vector",
+    ]
+    assert [line for line in lines if line in expected] == expected
+    assert "{stationary,weights,classes,polytope,ratio,compare,verify}" \
+        in lines
+
+
+def test_ratio_help_lists_its_positionals(capsys, monkeypatch):
+    lines = _help_lines(capsys, monkeypatch, "ratio")
+    expected = ["i state index (1-based)", "j state index (1-based)",
+                "file|- input file, or - for stdin (default)"]
+    assert [line for line in lines if line in expected] == expected
+
+
 def test_edge_threshold_flag(tmp_path, capsys):
     # a tiny float entry is an edge: one closed class, and no cutoff flag
     noise = 5e-15

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,9 @@ def test_determinant_empty_matrix_is_one():
 def test_determinant_singular_integer_matrix():
     assert determinant([[1, 2], [2, 4]]) == 0
     assert int_determinant([[1, 2], [2, 4]]) == 0
+    # a zero row below the first pivot, and a zero column past it
+    assert int_determinant([[2, 1, 3], [0, 0, 0], [4, 5, 7]]) == 0
+    assert int_determinant([[2, 0, 3], [1, 0, 5], [4, 0, 7]]) == 0
 
 
 def test_int_determinant_rejects_a_ragged_matrix():
@@ -337,6 +341,27 @@ def test_mode_inference():
     assert repr(floaty) == "StochasticMatrix(n=2, mode='float')"
 
 
+def test_to_exact_rows_sum_to_one_next_to_the_float_entries():
+    # float rows that sum to 1 in floating point, but rarely as rationals
+    rng = make_rng(4421)
+    matrices = [[[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 3]]]
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        rows = [[0.0 if rng.random() < 0.3 else rng.random()
+                 for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] += 0.01  # no row is all zero
+        matrices.append([[x / sum(row) for x in row] for row in rows])
+    for rows in matrices:
+        floaty = StochasticMatrix(rows)
+        exact = floaty.to_exact()
+        assert exact.mode == "exact"
+        for row, float_row in zip(exact.p, floaty.p):
+            assert sum(row) == 1
+            for x, y in zip(row, float_row):
+                assert abs(x - F(y)) <= F(1, 10 ** 15) * F(y)
+
+
 def test_minor_full_matrix_by_index():
     m = [[F(1), F(2)], [F(3), F(4)]]
     assert minor(m, 0, 1) == 3
@@ -351,6 +376,13 @@ def test_stochastic_rejects_non_finite_entry(bad):
     with pytest.raises(ValueError,
                        match="entry at row 2, column 1 is not finite"):
         StochasticMatrix(np.array([[0.5, 0.5], [bad, 1.0]]), mode="exact")
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_stochastic_locates_a_non_finite_decimal_entry(bad):
+    with pytest.raises(ValueError,
+                       match="^entry at row 2, column 1 is not finite$"):
+        StochasticMatrix([[F(1, 2), F(1, 2)], [Decimal(bad), 1]])
 
 
 # --- coercion at the public entry point only ----------------------------------
