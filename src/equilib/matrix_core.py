@@ -5,7 +5,9 @@ Matrices live in one of two scalar modes:
 * ``"exact"``  -- entries are :class:`fractions.Fraction` values held in an
   ``object``-dtype numpy array.  All results are bit-exact; determinants are
   computed by fraction-free (Bareiss) elimination over unbounded integers
-  after clearing denominators row by row.  An exact
+  after clearing denominators row by row.  That one elimination,
+  ``_bareiss``, also serves the exact linear solve of
+  :func:`equilib.oracle.linear_solve_stationary`.  An exact
   :class:`StochasticMatrix` is validated in one pass over its rows, in
   integers: each row is scaled by the lcm of its denominators, and the
   matrix carries those integer-cleared rows for the class analysis and the
@@ -93,26 +95,27 @@ def _square(data, mode=None):
     With ``mode`` unset, a float dtype or a float entry makes it float.
     """
     a = _square_rows(data)
-    if mode != FLOAT and not (mode is None and isinstance(a, np.ndarray)
-                              and a.dtype.kind == "f"):
-        rows = []
-        try:
-            for row in a.tolist() if isinstance(a, np.ndarray) else a:
-                rows.append([x if type(x) is Fraction
-                             else _to_fraction(x, mode is None) for x in row])
-        except _FloatEntry:
-            pass
-        except (ValueError, OverflowError):
+    try:
+        if mode != FLOAT and not (mode is None and isinstance(a, np.ndarray)
+                                  and a.dtype.kind == "f"):
+            rows = [[x if type(x) is Fraction
+                     else _to_fraction(x, mode is None) for x in row]
+                    for row in (a.tolist() if isinstance(a, np.ndarray)
+                                else a)]
+            return np.array(rows, dtype=object).reshape(len(a), len(a))
+        f = as_float_array(a)
+    except _FloatEntry:
+        return _square(a, FLOAT)
+    except (ValueError, OverflowError):
+        # a non-finite Decimal or float entry fails to convert; locate it
+        for i, row in enumerate(a, start=1):
             for j, x in enumerate(row, start=1):
                 if isinstance(x, Decimal) and not x.is_finite() or (
                         isinstance(x, (float, np.floating))
                         and not math.isfinite(x)):
-                    raise ValueError(f"entry at row {len(rows) + 1}, "
-                                     f"column {j} is not finite") from None
-            raise
-        else:
-            return np.array(rows, dtype=object).reshape(len(a), len(a))
-    f = as_float_array(a)
+                    raise ValueError(f"entry at row {i}, column {j} "
+                                     "is not finite") from None
+        raise
     bad = np.argwhere(~np.isfinite(f))
     if bad.size:
         i, j = bad[0]
@@ -126,6 +129,41 @@ def identity_matrix(n, mode=EXACT):
     out = np.full((n, n), Fraction(0), dtype=object)
     np.fill_diagonal(out, Fraction(1))
     return out
+
+
+def _bareiss(m, n):
+    """Fraction-free forward elimination of the first ``n`` columns of ``m``.
+
+    ``m`` holds ``n`` rows of Python ints, each ``n`` or more long, and is
+    changed in place.  A zero pivot is swapped for the first nonzero entry
+    below it, and each update divides exactly by the previous pivot, so
+    every value stays an integer.  Afterwards row ``k`` from column ``k`` on
+    is the ``k``-th Bareiss row, and ``m[n-1][n-1]`` is the determinant of
+    the swapped rows' first ``n`` columns.
+
+    Returns the sign of the swaps, or 0 when one of the first ``n - 1``
+    columns has no pivot (the determinant is 0).
+    """
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign
 
 
 def int_determinant(rows):
@@ -149,26 +187,7 @@ def int_determinant(rows):
     m = [[int(x) for x in row] for row in rows]
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
+    return _bareiss(m, n) * m[-1][-1]
 
 
 def clear_denominators(a):

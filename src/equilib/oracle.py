@@ -8,7 +8,10 @@ Three routes that share no arithmetic with the minor-weight kernel:
   stationary vector.
 * :func:`linear_solve_stationary` solves the defining linear system
   directly, with one redundant column of ``I - P`` replaced by the
-  normalization constraint.  The class structure from
+  normalization constraint.  Exact mode eliminates it in integers by the
+  same Bareiss elimination that :mod:`~equilib.matrix_core` uses for
+  determinants, on the transposed system and with its own pivot search;
+  float mode calls LAPACK.  The class structure from
   :mod:`~equilib.reducibility` decides first whether that system is
   singular: it is exactly when there are several closed classes.
 * :func:`perturb` mixes the chain with the uniform one, which makes every
@@ -21,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import EXACT, FLOAT, StochasticMatrix, as_float_array
+from .matrix_core import (
+    EXACT, FLOAT, StochasticMatrix, _bareiss, as_float_array)
 from .reducibility import communicating_classes
 
 # spread ratios at least this close to 1 count as a stalled squaring
@@ -112,50 +116,50 @@ def perturb(p, epsilon):
     return StochasticMatrix((1 - epsilon) * a + epsilon / sm.n, mode=mode)
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fractions of a nonsingular system."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)]
-         for row, b in zip(rows, rhs)]
-    for k in range(n):
-        piv = next(r for r in range(k, n) if m[r][k] != 0)
-        m[k], m[piv] = m[piv], m[k]
-        for r in range(k + 1, n):
-            if m[r][k] == 0:
-                continue
-            f = m[r][k] / m[k][k]
-            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / m[k][k]
-    return x
-
-
 def linear_solve_stationary(p):
     """Solve ``pi (I - P) = 0`` with ``sum(pi) = 1`` directly.
 
     The last column of ``I - P`` is redundant (the columns sum to the zero
     vector) and is replaced by the all-ones normalization column.  Exact
-    mode returns exact rationals.  A chain with several closed classes
-    leaves the system singular and raises :class:`SingularSystemError`
-    before any solve, in both modes; so does a float system that LAPACK
-    finds singular, or numerically singular by its residual.
+    mode returns exact rationals: row ``i`` of the system is scaled by the
+    lcm ``f_i`` of its denominators, the transposed integer system is
+    eliminated by the Bareiss elimination of the determinants, and
+    fraction-free back-substitution gives ``det * pi_i / f_i`` as
+    integers.  A chain with several closed classes leaves the system
+    singular and raises :class:`SingularSystemError` before any solve, in
+    both modes; so does a float system that LAPACK finds singular, or
+    numerically singular by its residual.
     """
     sm = StochasticMatrix.coerce(p)
     if communicating_classes(sm).n_closed != 1:
         raise SingularSystemError(
             "stationary system is singular; the chain is reducible")
+    n = sm.n
+    if sm.mode == EXACT:
+        # the transposed system with row i of I - P times f_i, in
+        # integers (the cleared row sums to f_i, so f_i - rows[i][i] is
+        # its off-diagonal sum), f_i in the normalization row and e_n
+        # appended as the right-hand side
+        rows, factors = sm._cleared
+        m = [[f * (i == j) - row[j] for i, (row, f) in enumerate(
+            zip(rows, factors))] + [0] for j in range(n - 1)]
+        m.append(factors + [1])
+        _bareiss(m, n)
+        # fraction-free back-substitution: y[k] = det * pi[k] / f_k
+        det = m[n - 1][n - 1]
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            y[k] = (det * m[k][n] - sum(
+                m[k][j] * y[j] for j in range(k + 1, n))) // m[k][k]
+        return np.array([Fraction(f * v, det) for f, v in zip(factors, y)],
+                        dtype=object)
     # I - P with each diagonal entry the off-diagonal row sum, as the
     # kernel builds its pivots: a float 1 - p_ii can round an exit away
     a = -sm.p
     np.fill_diagonal(a, 0)
     np.fill_diagonal(a, -a.sum(axis=1))
-    a[:, sm.n - 1] = 1
-    # e_n in float64: its 0.0 and 1.0 are exact in either field
-    rhs = np.eye(sm.n)[-1]
-    if sm.mode == EXACT:
-        return np.array(_solve_exact(a.T.tolist(), rhs), dtype=object)
+    a[:, n - 1] = 1
+    rhs = np.eye(n)[-1]
     try:
         x = np.linalg.solve(a.T, rhs)
     except np.linalg.LinAlgError as exc:

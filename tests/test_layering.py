@@ -3,7 +3,8 @@
 Every import sits at module level, so the import graph is what loading the
 package does, and that graph is acyclic: matrix_core, reducibility,
 equilibrium, graph_walk, then cli, with oracle on matrix_core and
-reducibility (its linear solve reads the class structure first).
+reducibility only (its linear solve reads the class structure first, then
+runs the shared elimination), never on the kernel's module.
 """
 
 import ast
@@ -68,6 +69,8 @@ def test_module_import_graph_is_acyclic():
         visit(name)
     # the class structure sits below the kernel that uses it
     assert graph["reducibility"] == {"matrix_core"}
+    # the reference solve stays independent of the weight kernel
+    assert graph["oracle"] == {"matrix_core", "reducibility"}
 
 
 def test_cli_uses_only_the_public_library_api():

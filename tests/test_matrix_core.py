@@ -378,11 +378,15 @@ def test_stochastic_rejects_non_finite_entry(bad):
         StochasticMatrix(np.array([[0.5, 0.5], [bad, 1.0]]), mode="exact")
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "sNaN", "Infinity", "-Infinity"])
 def test_stochastic_locates_a_non_finite_decimal_entry(bad):
     with pytest.raises(ValueError,
                        match="^entry at row 2, column 1 is not finite$"):
         StochasticMatrix([[F(1, 2), F(1, 2)], [Decimal(bad), 1]])
+    # float mode converts with numpy, which cannot convert a signaling NaN
+    with pytest.raises(ValueError,
+                       match="^entry at row 2, column 1 is not finite$"):
+        StochasticMatrix([[0.5, 0.5], [Decimal(bad), 1]], mode="float")
 
 
 # --- coercion at the public entry point only ----------------------------------

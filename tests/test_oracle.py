@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equilib import (
+    communicating_classes,
     linear_solve_stationary,
     perturb,
     power_method,
@@ -11,7 +12,12 @@ from equilib import (
     SingularSystemError,
     verify_equilibrium,
 )
-from support import make_rng, random_stochastic_rows
+from support import (
+    make_rng,
+    random_stochastic_rows,
+    random_structured_rows,
+    stationary_reference,
+)
 
 F = Fraction
 
@@ -144,6 +150,15 @@ def test_linear_solve_equals_minor_method_exactly():
     for _ in range(25):
         rows = random_stochastic_rows(rng, 6, strictly_positive=True)
         assert list(linear_solve_stationary(rows)) == list(stationary(rows).pi)
+    # one closed class, with transitory states and zero entries: the
+    # elimination meets zero pivots and swaps rows
+    checked = 0
+    while checked < 40:
+        rows = random_structured_rows(rng, max_n=8)
+        if communicating_classes(rows).n_closed == 1:
+            assert list(linear_solve_stationary(rows)) == \
+                stationary_reference(rows)
+            checked += 1
 
 
 def test_linear_solve_reducible_raises():
