@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import EXACT, FLOAT, StochasticMatrix
+from .matrix_core import EXACT, FLOAT, StochasticMatrix, read_values
 from .reducibility import communicating_classes
 from .equilibrium import (
     equilibrium_polytope,
@@ -81,30 +81,26 @@ def _literal(x):
     return None
 
 
-def _value(x, mode):
-    """An entry accepted by :func:`_literal` as a scalar of ``mode``.
+def _value(x, mode, where, *at):
+    """An entry accepted by :func:`_literal` as a scalar of ``mode``;
+    ``where(*at)`` starts an error message about it.
 
     A JSON number stays as it is in exact mode.  ``float()`` reads a
     decimal string, rounding as the exact value would, without building
-    it.  An exact literal's length plus its exponent may not pass the digit
-    limit of int literals, ``sys.get_int_max_str_digits()``, so
+    it.  The library's reader builds an exact string, and refuses one whose
+    length plus exponent passes the digit limit of int literals, so
     ``1e100000000`` fails at once.
     """
     if isinstance(x, str) and (mode == EXACT or "/" in x):
-        limit = sys.get_int_max_str_digits() or math.inf
-        exponent = x.lower().partition("e")[2]
-        if len(x) > limit or exponent and len(x) + abs(int(exponent)) > limit:
-            raise ParseError(f"exceeds the {limit}-digit limit")
-        x = Fraction(x)
+        ((x,),) = read_values([[x]], EXACT, lambda *_: where(*at))[1]
     if mode == EXACT or isinstance(x, float):
         return x
     try:
-        value = float(x)
+        if not math.isinf(value := float(x)):
+            return value
     except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise ParseError("overflows a float")
-    return value
+        pass
+    raise ParseError(f"{where(*at)} overflows a float")
 
 
 def _scalar(x, mode, what):
@@ -115,10 +111,8 @@ def _scalar(x, mode, what):
     decimal = _literal(x)
     if decimal is None:
         raise ParseError(f"malformed {what} {x!r}")
-    try:
-        return _value(x, mode or (FLOAT if decimal else EXACT))
-    except ParseError as exc:
-        raise ParseError(f"malformed {what} {x!r}: {exc}") from None
+    return _value(x, mode or (FLOAT if decimal else EXACT),
+                  lambda: f"malformed {what} {x!r}:")
 
 
 def _state_index(text):
@@ -132,7 +126,7 @@ def _tolerance(text):
     """The ``--tol`` argument: a literal read as a finite float, at least 0."""
     try:
         tol = _scalar(text, FLOAT, "--tol value")
-    except ParseError as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if tol < 0:
         raise argparse.ArgumentTypeError(
@@ -163,17 +157,16 @@ def _any_decimal(rows, where):
 
 def _stochastic(rows, decimal, mode, where):
     """The matrix of ``rows`` of entries, float if ``mode`` is ``None`` and
-    ``decimal`` (an entry is a decimal)."""
+    ``decimal`` (an entry is a decimal).  An exact matrix is read whole by
+    the library's reader."""
     mode = mode or (FLOAT if decimal else EXACT)
 
-    def value(r, c, x):
-        try:
-            return _value(x, mode)
-        except ParseError as exc:
-            raise ParseError(f"{where(r, c)}: {x} {exc}") from None
+    def at(r, c):
+        return f"{where(r, c)}: {rows[r - 1][c - 1]}"
 
     return StochasticMatrix(
-        [[value(r, c, x) for c, x in enumerate(row, start=1)]
+        read_values(rows, mode, at)[1] if mode == EXACT else
+        [[_value(x, mode, at, r, c) for c, x in enumerate(row, start=1)]
          for r, row in enumerate(rows, start=1)], mode=mode)
 
 
@@ -458,9 +451,6 @@ def _parse_vector(text):
             entries = entries.get("pi")
         if not isinstance(entries, list):
             raise ParseError("JSON input does not contain a 'pi' vector")
-    for k, x in enumerate(entries, start=1):
-        if isinstance(x, float) and not math.isfinite(x):
-            raise ParseError(f"vector entry {k} is not finite")
     mode = None if from_text else EXACT
     return [_scalar(x, mode, "vector entry") for x in entries]
 

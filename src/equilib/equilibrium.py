@@ -42,8 +42,11 @@ from .matrix_core import (
     FLOAT,
     FLOAT_SIGN_SLACK,
     StochasticMatrix,
+    _integer,
+    _shown,
     clear_denominators,
     int_determinant,
+    read_values,
 )
 from .reducibility import DecompositionReport, _classes
 
@@ -292,10 +295,11 @@ def relative_probability(p, i, j):
     """
     rows, factors = StochasticMatrix.coerce(p)._chain
     for k in (i, j):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"state index {k} is not an integer")
+        if not _integer(k):
+            raise ValueError(f"state index {_shown(k)} is not an integer")
         if not 0 <= k < len(rows):
-            raise ValueError(f"state index {k} outside 0..{len(rows) - 1}")
+            raise ValueError(
+                f"state index {_shown(k)} outside 0..{len(rows) - 1}")
     _, pi = _kernel(rows, factors, _classes(rows))
     if pi is None or pi[j] == 0:
         raise ZeroDivisionError(
@@ -310,18 +314,15 @@ def verify_equilibrium(pi, p):
     vector).  Mixed modes are compared in float.
     """
     sm = StochasticMatrix.coerce(p)
-    v = np.asarray(pi, dtype=object if sm.mode == EXACT else float)
+    v = np.asarray(pi, dtype=object)
     if v.ndim != 1 or v.shape[0] != sm.n:
         raise ValueError(f"vector of length "
                          f"{len(v) if v.ndim == 1 else v.shape} "
                          f"does not match n={sm.n}")
-    if sm.mode == EXACT and any(
-        isinstance(x, (float, np.floating)) for x in v.flat
-    ):
+    mode, (v,) = read_values([v.tolist()], None if sm.mode == EXACT else FLOAT,
+                             lambda _, k: f"vector entry {k}")
+    if mode != sm.mode:
         sm = sm.to_float()
-        v = v.astype(float)
-    elif sm.mode == EXACT:
-        v = np.array([Fraction(x) for x in v], dtype=object)
     resid = v @ sm.p - v
     return max(abs(x) for x in resid)
 
@@ -348,7 +349,12 @@ def matrix_from_bands(bands, mode=None):
     This is the parameter-order convention of every ``closed_form_*``
     function.
     """
-    return StochasticMatrix(_band_rows(bands, [1] * len(bands)), mode=mode)
+    n = len(bands)
+    for i, b in enumerate(bands, start=1):
+        if not isinstance(b, (list, tuple, np.ndarray)) or len(b) != n - 1:
+            raise ValueError(f"row {i} needs {n - 1} off-diagonal parameters")
+    _, bands = read_values(bands, None, "parameter {1} of row {0}".format)
+    return StochasticMatrix(_band_rows(bands, [1] * n), mode=mode)
 
 
 def _band_rows(bands, units):
@@ -357,10 +363,6 @@ def _band_rows(bands, units):
     n = len(bands)
     rows = [[None] * n for _ in range(n)]
     for i, (band, unit) in enumerate(zip(bands, units)):
-        band = list(band)
-        if len(band) != n - 1:
-            raise ValueError(
-                f"row {i + 1} needs {n - 1} off-diagonal parameters")
         rows[i][i] = unit - sum(band)
         for k, x in enumerate(band, start=1):
             rows[i][(i + k) % n] = x
@@ -377,23 +379,22 @@ def _bands(values, n):
     rows are cleared once to integers ``b_i`` and lcm factors ``f_i``, and
     checked there: ``0 <= b_ik <= f_i`` and ``sum(b_i) <= f_i``.
     """
-    exact = not any(isinstance(v, (float, np.floating)) for v in values)
-    bands = [values[i:i + n - 1] for i in range(0, len(values), n - 1)]
-    if exact:
-        bands, factors = clear_denominators(bands)
-    else:
-        bands, factors = [[float(v) for v in b] for b in bands], None
+    mode, bands = read_values(
+        [values[i:i + n - 1] for i in range(0, len(values), n - 1)], None,
+        lambda i, k: f"parameter {_BAND_LETTERS[i - 1]}{k}")
+    exact = mode == EXACT
+    bands, factors = clear_denominators(bands) if exact else (bands, None)
     slack = 0 if exact else FLOAT_SIGN_SLACK
     for letter, b, f in zip(_BAND_LETTERS, bands, factors or [1] * n):
         for k, v in enumerate(b, start=1):
             if not -slack <= v <= f + slack:
                 raise ValueError(f"parameter {letter}{k} = "
-                                 f"{Fraction(v, f) if exact else v} "
+                                 f"{_shown(Fraction(v, f) if exact else v)} "
                                  "outside [0, 1]")
         if not sum(b) <= f + slack:
             raise ValueError(
                 f"row parameters {letter}1..{letter}{n - 1} sum to "
-                f"{Fraction(sum(b), f) if exact else sum(b)}, "
+                f"{_shown(Fraction(sum(b), f) if exact else sum(b))}, "
                 "must be at most 1")
     return bands, factors
 

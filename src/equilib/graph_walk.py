@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import StochasticMatrix, _square_rows
+from .matrix_core import StochasticMatrix, _integer, _shown, _square_rows
 from .equilibrium import EquilibriumResult, _solve
 
 
@@ -43,20 +43,14 @@ class ZeroOutDegreeError(ValueError):
 def _edge_count(x, i, j):
     """Adjacency entry ``(i, j)`` as a nonnegative int, or a located error."""
     m = None
-    if isinstance(x, bool):  # a JSON true or false is not a count
-        pass
-    elif isinstance(x, (int, np.integer)) or isinstance(
-        x, (float, np.floating)
-    ) and x.is_integer():
+    if _integer(x) or isinstance(x, (float, np.floating)) and x.is_integer():
         m = int(x)
-    elif isinstance(x, str):
-        if _COUNT_RE.fullmatch(x):
-            with suppress(ValueError):  # past the int digit limit
-                m = int(x)
-        x = repr(x)
+    elif isinstance(x, str) and _COUNT_RE.fullmatch(x):
+        with suppress(ValueError):  # past the int digit limit
+            m = int(x)
     if m is None:
-        raise ValueError(
-            f"adjacency entry ({i + 1}, {j + 1}) = {x} is not an integer")
+        raise ValueError(f"adjacency entry ({i + 1}, {j + 1}) = {_shown(x)} "
+                         "is not an integer")
     if m < 0:
         raise ValueError(f"adjacency entry ({i + 1}, {j + 1}) is negative")
     return m
@@ -85,16 +79,24 @@ class Graph:
     def from_edges(cls, n, edges):
         """Build from ``(i, j)`` or ``(i, j, multiplicity)`` tuples, 0-based.
 
-        Ranges, multiplicities (each a nonnegative integer, checked before
+        ``n`` and the node indices are ints (a bool is not).  Ranges,
+        multiplicities (each a nonnegative integer, checked before
         it is summed) and out-degrees are checked on the edge list, so a bad
         one fails before the ``n x n`` matrix is built; a node without
         outgoing edges raises :class:`ZeroOutDegreeError`.
         """
+        if not _integer(n):
+            raise ValueError(f"node count {_shown(n)} is not an integer")
         counts = {}
         for edge in edges:
+            if not (isinstance(edge, (list, tuple, np.ndarray)) and len(edge)
+                    in (2, 3) and _integer(edge[0]) and _integer(edge[1])):
+                raise ValueError(f"edge {_shown(edge)} is not (i, j) or (i, "
+                                 "j, multiplicity) with integer nodes i, j")
             i, j, *rest = edge
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+                raise ValueError(f"edge ({_shown(i)}, {_shown(j)}) out of "
+                                 f"range for n={n}")
             m = _edge_count(rest[0], i, j) if rest else 1
             counts[i, j] = counts.get((i, j), 0) + m
         degrees = [0] * n

@@ -15,17 +15,29 @@ Matrices live in one of two scalar modes:
 * ``"float"``  -- entries are ``float64``.  Determinants come from LAPACK's
   LU factorization (``numpy.linalg.det``), rounded like any float product.
 
-A computation never mixes the two modes.  Non-finite entries are rejected.
-The matrix argument of :func:`determinant`, :func:`minor`, :func:`adjugate`,
-:func:`is_z_matrix` and :class:`StochasticMatrix` is read by one function,
-``_square``, which checks its shape and settles its mode.  The stationary
-weights do not use these determinants: one O(n^3) state reduction in
+A computation never mixes the two modes.  Every value a library caller
+passes, a matrix entry, a band parameter, a vector entry or an epsilon, is
+read by one reader, :func:`read_values`, which settles the mode and names
+the value's place in any error.  Its rule: ints (``np.integer`` too),
+Fractions, Decimals, floats (``np.floating`` too) and rational or decimal
+strings are read; a bool is not a number; a float wins, so one float or
+``np.floating`` value makes them all float; a non-finite value is
+rejected; and a string or Decimal built exactly may not ask for more
+digits, its length plus its exponent, than ``sys.get_int_max_str_digits()``
+allows, so ``"1e100000000"`` fails at once.  The matrix argument of
+:func:`determinant`, :func:`minor`, :func:`adjugate`, :func:`is_z_matrix`
+and :class:`StochasticMatrix` is read by ``_square``, which checks its
+shape and hands the entries to the reader.  The stationary weights do not
+use these determinants: one O(n^3) state reduction in
 :mod:`equilib.equilibrium` yields all ``n`` principal minors.
 """
 
 import math
+import sys
+from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,20 +50,80 @@ FLOAT_SIGN_SLACK = 1e-12
 ROW_SUM_ATOL = 1e-9
 
 
-class _FloatEntry(Exception):
-    """A float entry: a matrix whose mode is inferred is a float matrix."""
+def _shown(x):
+    """``x`` as a message shows it: a string as ``repr``, anything else as
+    ``str``, and a number whose digits pass the int digit limit by the
+    limit, so building a message never fails."""
+    try:
+        return repr(x) if isinstance(x, str) else str(x)
+    except ValueError:
+        return f"a number past the {sys.get_int_max_str_digits()}-digit limit"
 
 
-def _to_fraction(x, infer=False):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, (float, np.floating)):
-        if infer:
-            raise _FloatEntry
-        return Fraction(float(x))
-    return Fraction(x)
+def _integer(x):
+    """Whether ``x`` is an int or a numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def read_values(rows, mode, where="entry at row {}, column {}".format):
+    """The caller's values, ``rows`` of them, as scalars of one mode.
+
+    This is the one reader of a value a caller passes.  ``mode`` ``None``
+    infers it: a float or ``np.floating`` value makes them all float, and
+    otherwise they are exact.  Returns ``(mode, rows)``: rows of Fractions,
+    keeping the caller's Fraction objects (a subclass too), or a float64
+    array with every entry finite.  Ints, ``np.integer``, Fractions,
+    Decimals, floats and rational or decimal strings are read; a bool is
+    not a number.  An exact string or Decimal whose length plus exponent
+    passes ``sys.get_int_max_str_digits()`` is refused before it is built.
+    Any failure is a ``ValueError`` naming ``where(i, j)``, the place of
+    value ``j`` of row ``i``, both counted from 1; by default a matrix
+    entry.  ``rows`` may be a 2-D ndarray, whose dtype stands for its
+    values' types.
+    """
+    types = ({rows.dtype.type} if getattr(rows, "dtype", object) != object
+             else set(map(type, chain.from_iterable(rows))))
+    mode = mode or (FLOAT if any(issubclass(t, (float, np.floating))
+                                 for t in types) else EXACT)
+    if mode == EXACT and types <= {Fraction}:
+        return mode, rows
+    if mode == FLOAT and all(t is not bool and issubclass(t, (
+            int, float, Fraction, np.integer, np.floating)) for t in types):
+        with suppress(OverflowError):  # numpy reads these whole
+            if np.isfinite(f := np.array(rows, dtype=float)).all():
+                return mode, f
+    # else each value is read, and the first that fails is located
+    read = [[_scalar(x, mode, where, i, j) for j, x in enumerate(row, 1)]
+            for i, row in enumerate(rows, start=1)]
+    return mode, read if mode == EXACT else np.array(read, dtype=float)
+
+
+def _scalar(x, mode, where, i, j):
+    """One value of :func:`read_values` as a scalar of ``mode``.  A string or
+    a Decimal is built exactly only in exact mode or as a rational ``a/b``;
+    float mode reads a decimal with ``float()``."""
+    if isinstance(x, (np.floating, np.integer)):
+        x = float(x) if isinstance(x, np.floating) else int(x)
+    if isinstance(x, bool) or not isinstance(
+            x, (str, int, float, Decimal, Fraction)):
+        raise ValueError(f"{where(i, j)} = {_shown(x)} is not a number")
+    if isinstance(x, (float, Decimal)) and not Decimal(x).is_finite():
+        raise ValueError(f"{where(i, j)} is not finite")
+    exact = mode == EXACT or isinstance(x, str) and "/" in x
+    if exact and isinstance(x, (str, Decimal)):
+        x, limit = str(x), sys.get_int_max_str_digits() or math.inf
+        e = x.lower().partition("e")[2].lstrip("+-")
+        if len(x) > limit or e.isdecimal() and len(x) + int(e) > limit:
+            raise ValueError(f"{where(i, j)} exceeds the {limit}-digit limit")
+    try:
+        v = Fraction(x) if exact and isinstance(x, (str, int, float)) else x
+        if mode == EXACT or math.isfinite(v := float(v)):
+            return v
+    except OverflowError:
+        raise ValueError(f"{where(i, j)} overflows a float") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where(i, j)} = {x!r} is not a number") from None
+    raise ValueError(f"{where(i, j)} is not finite")
 
 
 def as_float_array(data):
@@ -93,34 +165,13 @@ def _square(data, mode=None):
     Exact mode gives an object array of Fractions that keeps the caller's
     Fraction objects; float mode gives float64 with every entry finite.
     With ``mode`` unset, a float dtype or a float entry makes it float.
+    :func:`read_values` reads the entries, but for a float ndarray not read
+    exactly, which numpy converts whole.
     """
-    a = _square_rows(data)
-    try:
-        if mode != FLOAT and not (mode is None and isinstance(a, np.ndarray)
-                                  and a.dtype.kind == "f"):
-            rows = [[x if type(x) is Fraction
-                     else _to_fraction(x, mode is None) for x in row]
-                    for row in (a.tolist() if isinstance(a, np.ndarray)
-                                else a)]
-            return np.array(rows, dtype=object).reshape(len(a), len(a))
-        f = as_float_array(a)
-    except _FloatEntry:
-        return _square(a, FLOAT)
-    except (ValueError, OverflowError):
-        # a non-finite Decimal or float entry fails to convert; locate it
-        for i, row in enumerate(a, start=1):
-            for j, x in enumerate(row, start=1):
-                if isinstance(x, Decimal) and not x.is_finite() or (
-                        isinstance(x, (float, np.floating))
-                        and not math.isfinite(x)):
-                    raise ValueError(f"entry at row {i}, column {j} "
-                                     "is not finite") from None
-        raise
-    bad = np.argwhere(~np.isfinite(f))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"entry at row {i + 1}, column {j + 1} is not finite")
-    return f
+    mode, p = read_values(_square_rows(data), mode)
+    n = len(p)
+    return p.reshape(n, n) if mode == FLOAT else np.fromiter(
+        chain.from_iterable(p), object, n * n).reshape(n, n)
 
 
 def identity_matrix(n, mode=EXACT):
@@ -196,10 +247,8 @@ def clear_denominators(a):
     Returns ``(rows, factors)`` where ``rows[i] == factors[i] * a[i]``
     entrywise and ``factors[i]`` is the lcm of the row's denominators.
     """
-    rows = []
-    factors = []
-    for row in a:
-        fr = [x if type(x) is Fraction else _to_fraction(x) for x in row]
+    rows, factors = [], []
+    for fr in read_values(a, EXACT)[1]:
         dens = [x.denominator for x in fr]
         f = math.lcm(*dens)
         rows.append([x.numerator * (f // d) for x, d in zip(fr, dens)])
@@ -316,8 +365,9 @@ class StochasticMatrix:
                     j = next(j for j, v in enumerate(row, start=1) if v < 0)
                     raise ValueError(f"negative entry at row {i}, column {j}")
                 if sum(row) != f:
-                    raise ValueError(f"row {i} sums to {Fraction(sum(row), f)}"
-                                     ", expected 1")
+                    raise ValueError(f"row {i} sums to "
+                                     f"{_shown(Fraction(sum(row), f))}, "
+                                     "expected 1")
         else:
             bad = np.argwhere(p < -FLOAT_SIGN_SLACK)
             if bad.size:

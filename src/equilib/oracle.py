@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix_core import (
-    EXACT, FLOAT, StochasticMatrix, _bareiss, as_float_array)
+    EXACT, FLOAT, StochasticMatrix, _bareiss, _shown, read_values)
 from .reducibility import communicating_classes
 
 # spread ratios at least this close to 1 count as a stalled squaring
@@ -103,16 +103,12 @@ def perturb(p, epsilon):
     the computation to float mode.
     """
     sm = StochasticMatrix.coerce(p)
-    if isinstance(epsilon, (float, np.floating)):
-        mode = FLOAT
-    else:
-        epsilon = Fraction(epsilon)
-        mode = sm.mode
+    mode, ((epsilon,),) = read_values([[epsilon]], None, lambda *_: "epsilon")
     if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        raise ValueError(f"epsilon must be in (0, 1), got {_shown(epsilon)}")
     a = sm.p
-    if mode == FLOAT:
-        a, epsilon = as_float_array(a), float(epsilon)
+    if FLOAT in (mode, sm.mode):
+        a, epsilon, mode = a.astype(float), float(epsilon), FLOAT
     return StochasticMatrix((1 - epsilon) * a + epsilon / sm.n, mode=mode)
 
 

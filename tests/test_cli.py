@@ -403,6 +403,19 @@ def test_non_finite_json_entry_is_a_located_error(tmp_path, capsys, literal):
     assert "error: entry at row 2, column 1 is not finite" in err
 
 
+@pytest.mark.parametrize("literal, shown", [("NaN", "nan"),
+                                            ("1e999", "inf")])
+def test_non_finite_json_entry_in_exact_mode_is_located(tmp_path, capsys,
+                                                         literal, shown):
+    # an exact document is read whole by the library's reader, which names
+    # the entry as the other JSON entry errors do
+    doc = ('{"kind": "matrix", "n": 2, "rows": [[0.5, 0.5], [%s, 1.0]]}'
+           % literal)
+    path = write(tmp_path, "m.json", doc)
+    assert run(capsys, "stationary", "--mode", "exact", path) == (
+        1, "", f"error: row 2, column 1: {shown} is not finite\n")
+
+
 def test_overflowing_decimal_is_a_located_error(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "0.5 0.5\n1e999 0\n")
     code, out, err = run(capsys, "stationary", path)

@@ -9,6 +9,7 @@ from equilib import (
     Graph,
     StochasticMatrix,
     adjugate,
+    as_float_array,
     clear_denominators,
     determinant,
     identity_matrix,
@@ -325,6 +326,12 @@ def test_stochastic_float_clamps_and_renormalizes():
     assert sm.mode == "float"
     assert sm.p.min() >= 0.0
     assert np.allclose(sm.p.sum(axis=1), 1.0)
+
+
+def test_as_float_array_converts_any_scalars_to_float64():
+    a = as_float_array([[F(1, 2), 1], [Decimal("0.25"), np.int64(3)]])
+    assert a.dtype == np.float64
+    assert a.tolist() == [[0.5, 1.0], [0.25, 3.0]]
 
 
 def test_mode_inference():

@@ -7,6 +7,7 @@ polytope vertices read them instead of clearing ``P`` again.
 """
 
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,11 @@ from equilib import (
     Graph,
     StochasticMatrix,
     clear_denominators,
+    closed_form_2,
     equilibrium_polytope,
+    perturb,
     stationary,
+    verify_equilibrium,
 )
 from support import (
     make_rng,
@@ -99,10 +103,9 @@ def test_row_sum_is_reported_as_an_exact_fraction():
         StochasticMatrix([[1, 0], ["1/2", "1/3"]])
 
 
-def test_an_unreadable_exact_entry_keeps_the_fraction_error():
-    # only a non-finite float gets a located message
+def test_an_unreadable_exact_entry_is_located():
     with pytest.raises(ValueError, match=_exactly(
-            "Invalid literal for Fraction: 'x'")):
+            "entry at row 2, column 2 = 'x' is not a number")):
         StochasticMatrix([[1, 0], ["1/2", "x"]])
 
 
@@ -117,6 +120,91 @@ def test_ragged_rows_are_located(mode):
     with pytest.raises(ValueError,
                        match=_exactly("row 2 has 1 entries, expected 2")):
         StochasticMatrix([[F(1), F(0)], [F(1)]], mode=mode)
+
+
+def test_a_rational_string_in_a_float_matrix_is_read():
+    # numpy cannot read "1/2"; the one reader reads it exactly, then in float
+    for mode in (None, "float"):
+        sm = StochasticMatrix([[0.5, 0.5], ["1/2", 0.5]], mode=mode)
+        assert sm.mode == "float"
+        assert sm.p.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("rows, mode, message", [
+    ([[True, False], [False, True]], None,
+     "entry at row 1, column 1 = True is not a number"),
+    ([[1.0, 0.0], [False, True]], None,
+     "entry at row 2, column 1 = False is not a number"),
+    ([[F(1), F(0)], [0, True]], "float",
+     "entry at row 2, column 2 = True is not a number"),
+    (np.array([[True, False], [False, True]]), None,
+     "entry at row 1, column 1 = True is not a number"),
+])
+def test_a_bool_entry_is_not_a_number(rows, mode, message):
+    with pytest.raises(ValueError, match=_exactly(message)):
+        StochasticMatrix(rows, mode=mode)
+
+
+def _motivating_call(name):
+    p = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
+    return {
+        "none": lambda: StochasticMatrix([[None, 1], [0.5, 0.5]]),
+        "complex": lambda: StochasticMatrix([[0.5 + 0j, 0.5], [0.5, 0.5]]),
+        "1/0": lambda: StochasticMatrix([["1/0", 1], [0.5, 0.5]]),
+        "float-overflow": lambda: StochasticMatrix([[10 ** 400, 0], [0, 1]],
+                                                   mode="float"),
+        "nested": lambda: StochasticMatrix([[0.5, [0.5]], [1, 0]]),
+        "deep": lambda: StochasticMatrix([[[1]]]),
+        "huge-exponent": lambda: StochasticMatrix([["1e100000000", 0],
+                                                   [0, 1]]),
+        "huge-sum": lambda: StochasticMatrix([[10 ** 5000, 0], [0, 1]]),
+        "closed-form-none": lambda: closed_form_2(None, 1),
+        "closed-form-huge": lambda: closed_form_2(10 ** 5000, 0),
+        "epsilon-none": lambda: perturb(p, None),
+        "vector-nan": lambda: verify_equilibrium([float("nan"), 0.5], p),
+    }[name]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("none", "entry at row 1, column 1 = None is not a number"),
+    ("complex", "entry at row 1, column 1 = (0.5+0j) is not a number"),
+    ("1/0", "entry at row 1, column 1 = '1/0' is not a number"),
+    ("float-overflow", "entry at row 1, column 1 overflows a float"),
+    ("nested", "entry at row 1, column 2 = [0.5] is not a number"),
+    ("deep", "entry at row 1, column 1 = [1] is not a number"),
+    ("huge-exponent", "entry at row 1, column 1 exceeds the 4300-digit limit"),
+    ("huge-sum",
+     "row 1 sums to a number past the 4300-digit limit, expected 1"),
+    ("closed-form-none", "parameter p1 = None is not a number"),
+    ("closed-form-huge",
+     "parameter p1 = a number past the 4300-digit limit outside [0, 1]"),
+    ("epsilon-none", "epsilon = None is not a number"),
+    ("vector-nan", "vector entry 1 is not finite"),
+])
+def test_a_bad_value_is_a_located_value_error_at_once(name, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=_exactly(message)):
+        _motivating_call(name)()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (2, [(0,)], "edge (0,) is not (i, j) or (i, j, multiplicity) "
+                "with integer nodes i, j"),
+    (2, [(0, 1, 1, 9)], "edge (0, 1, 1, 9) is not (i, j) or "
+                        "(i, j, multiplicity) with integer nodes i, j"),
+    (2, [(0.5, 1)], "edge (0.5, 1) is not (i, j) or (i, j, multiplicity) "
+                    "with integer nodes i, j"),
+    (2, [("0", 1)], "edge ('0', 1) is not (i, j) or (i, j, multiplicity) "
+                    "with integer nodes i, j"),
+    (2, [(True, 0)], "edge (True, 0) is not (i, j) or (i, j, multiplicity) "
+                     "with integer nodes i, j"),
+    (2.0, [(0, 1)], "node count 2.0 is not an integer"),
+    (2, [(0, 2)], "edge (0, 2) out of range for n=2"),
+])
+def test_a_bad_edge_is_named(n, edges, message):
+    with pytest.raises(ValueError, match=_exactly(message)):
+        Graph.from_edges(n, edges)
 
 
 # --- closed classes read the kept rows ---------------------------------------
