@@ -11,7 +11,10 @@ Subcommands: ``stationary``, ``weights``, ``classes``, ``polytope``,
 help text, the parser is built from it, and ``main`` dispatches through
 it.  Input is a matrix file (one row per line, entries as integers,
 decimals or rationals ``a/b``), a graph edge list headed by ``nodes N``,
-or a JSON document with fields ``kind``/``n``/``rows``.  All state
+or a JSON document with fields ``kind``/``n``/``rows``.  The CLI checks
+each literal, a matrix or vector entry, ``--tol`` or ``--epsilon``,
+against its grammar and names its place; the library's one reader,
+:func:`~equilib.matrix_core.read_values`, builds every value.  All state
 indices in input and output are 1-based.  A float entry is an edge of the
 chain exactly when it is nonzero.  Exit status: 0 for a unique
 equilibrium, 2 for a degenerate chain, 1 for errors.
@@ -20,7 +23,6 @@ equilibrium, 2 for a degenerate chain, 1 for errors.
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -81,38 +83,21 @@ def _literal(x):
     return None
 
 
-def _value(x, mode, where, *at):
-    """An entry accepted by :func:`_literal` as a scalar of ``mode``;
-    ``where(*at)`` starts an error message about it.
-
-    A JSON number stays as it is in exact mode.  ``float()`` reads a
-    decimal string, rounding as the exact value would, without building
-    it.  The library's reader builds an exact string, and refuses one whose
-    length plus exponent passes the digit limit of int literals, so
-    ``1e100000000`` fails at once.
-    """
-    if isinstance(x, str) and (mode == EXACT or "/" in x):
-        ((x,),) = read_values([[x]], EXACT, lambda *_: where(*at))[1]
-    if mode == EXACT or isinstance(x, float):
-        return x
-    try:
-        if not math.isinf(value := float(x)):
-            return value
-    except OverflowError:
-        pass
-    raise ParseError(f"{where(*at)} overflows a float")
-
-
 def _scalar(x, mode, what):
     """A single literal as a scalar of ``mode``, named ``what`` in messages.
 
-    With ``mode`` ``None``, a decimal is read as a float and the rest exactly.
+    The literal grammar is checked here, and the library's reader builds
+    the value.  With ``mode`` ``None``, a decimal is read as a float and the
+    rest exactly.  A JSON number is left as it is, for the library to read
+    where it is used.
     """
     decimal = _literal(x)
     if decimal is None:
         raise ParseError(f"malformed {what} {x!r}")
-    return _value(x, mode or (FLOAT if decimal else EXACT),
-                  lambda: f"malformed {what} {x!r}:")
+    if not isinstance(x, str):
+        return x
+    return read_values([[x]], mode or (FLOAT if decimal else EXACT),
+                       lambda *_: f"malformed {what} {x!r}:")[1][0][0]
 
 
 def _state_index(text):
@@ -156,18 +141,18 @@ def _any_decimal(rows, where):
 
 
 def _stochastic(rows, decimal, mode, where):
-    """The matrix of ``rows`` of entries, float if ``mode`` is ``None`` and
-    ``decimal`` (an entry is a decimal).  An exact matrix is read whole by
-    the library's reader."""
+    """The matrix of square ``rows`` of entries in the literal grammar,
+    float if ``mode`` is ``None`` and ``decimal`` (an entry is a decimal).
+    The library's reader builds the entries, in either mode, and an error
+    names the entry by ``where(r, c)`` and its text."""
     mode = mode or (FLOAT if decimal else EXACT)
 
     def at(r, c):
         return f"{where(r, c)}: {rows[r - 1][c - 1]}"
 
-    return StochasticMatrix(
-        read_values(rows, mode, at)[1] if mode == EXACT else
-        [[_value(x, mode, at, r, c) for c, x in enumerate(row, start=1)]
-         for r, row in enumerate(rows, start=1)], mode=mode)
+    # no rows is the library's to reject, as a matrix of no states
+    return StochasticMatrix(rows and read_values(rows, mode, at)[1],
+                            mode=mode)
 
 
 def _content_lines(text):
@@ -242,7 +227,12 @@ def _parse_json_document(text, mode):
     def where(r, c):
         return f"row {r}, column {c}"
 
-    return _stochastic(rows, _any_decimal(rows, where), mode, where)
+    decimal = _any_decimal(rows, where)
+    for r, row in enumerate(rows, start=1):  # numpy reads only square rows
+        if len(row) != len(rows):
+            raise ParseError(
+                f"row {r} has {len(row)} entries, expected {len(rows)}")
+    return _stochastic(rows, decimal, mode, where)
 
 
 def _parse(text, fmt, mode):

@@ -347,13 +347,15 @@ def matrix_from_bands(bands, mode=None):
             [ r1        r2     1-r1-r2]
 
     This is the parameter-order convention of every ``closed_form_*``
-    function.
+    function.  In exact ``mode`` the parameters are read exactly, floats
+    too, so each diagonal is the exact complement of its row.
     """
     n = len(bands)
     for i, b in enumerate(bands, start=1):
         if not isinstance(b, (list, tuple, np.ndarray)) or len(b) != n - 1:
             raise ValueError(f"row {i} needs {n - 1} off-diagonal parameters")
-    _, bands = read_values(bands, None, "parameter {1} of row {0}".format)
+    _, bands = read_values(bands, EXACT if mode == EXACT else None,
+                           "parameter {1} of row {0}".format)
     return StochasticMatrix(_band_rows(bands, [1] * n), mode=mode)
 
 

@@ -22,9 +22,12 @@ the value's place in any error.  Its rule: ints (``np.integer`` too),
 Fractions, Decimals, floats (``np.floating`` too) and rational or decimal
 strings are read; a bool is not a number; a float wins, so one float or
 ``np.floating`` value makes them all float; a non-finite value is
-rejected; and a string or Decimal built exactly may not ask for more
-digits, its length plus its exponent, than ``sys.get_int_max_str_digits()``
-allows, so ``"1e100000000"`` fails at once.  The matrix argument of
+rejected, and a finite one that rounds to an infinity overflows a float;
+and a string or Decimal built exactly may not ask for more digits, its
+length plus its exponent, than ``sys.get_int_max_str_digits()`` allows, so
+``"1e100000000"`` fails at once.  The command line checks each literal
+against its grammar and names its place, and this reader builds every
+value, in both modes.  The matrix argument of
 :func:`determinant`, :func:`minor`, :func:`adjugate`, :func:`is_z_matrix`
 and :class:`StochasticMatrix` is read by ``_square``, which checks its
 shape and hands the entries to the reader.  The stationary weights do not
@@ -79,7 +82,9 @@ def read_values(rows, mode, where="entry at row {}, column {}".format):
     Any failure is a ``ValueError`` naming ``where(i, j)``, the place of
     value ``j`` of row ``i``, both counted from 1; by default a matrix
     entry.  ``rows`` may be a 2-D ndarray, whose dtype stands for its
-    values' types.
+    values' types.  Float values are read whole by numpy, which rounds a
+    decimal string as ``float()`` does; when that fails, each value is
+    read alone, so the failure is located.
     """
     types = ({rows.dtype.type} if getattr(rows, "dtype", object) != object
              else set(map(type, chain.from_iterable(rows))))
@@ -88,8 +93,12 @@ def read_values(rows, mode, where="entry at row {}, column {}".format):
     if mode == EXACT and types <= {Fraction}:
         return mode, rows
     if mode == FLOAT and all(t is not bool and issubclass(t, (
-            int, float, Fraction, np.integer, np.floating)) for t in types):
-        with suppress(OverflowError):  # numpy reads these whole
+            int, float, Fraction, str, np.integer, np.floating))
+            for t in types):
+        # numpy reads these whole, a string past the float range as an
+        # infinity (a ``U`` array's cast warns of it, hence the errstate);
+        # what fails is read below
+        with suppress(ValueError, OverflowError), np.errstate(over="ignore"):
             if np.isfinite(f := np.array(rows, dtype=float)).all():
                 return mode, f
     # else each value is read, and the first that fails is located
@@ -101,18 +110,21 @@ def read_values(rows, mode, where="entry at row {}, column {}".format):
 def _scalar(x, mode, where, i, j):
     """One value of :func:`read_values` as a scalar of ``mode``.  A string or
     a Decimal is built exactly only in exact mode or as a rational ``a/b``;
-    float mode reads a decimal with ``float()``."""
-    if isinstance(x, (np.floating, np.integer)):
-        x = float(x) if isinstance(x, np.floating) else int(x)
-    if isinstance(x, bool) or not isinstance(
-            x, (str, int, float, Decimal, Fraction)):
-        raise ValueError(f"{where(i, j)} = {_shown(x)} is not a number")
-    if isinstance(x, (float, Decimal)) and not Decimal(x).is_finite():
-        raise ValueError(f"{where(i, j)} is not finite")
+    float mode reads a decimal with ``float()``, and one that it rounds to
+    an infinity overflows a float."""
+    if not isinstance(x, str):
+        if isinstance(x, (np.floating, np.integer)):
+            x = float(x) if isinstance(x, np.floating) else int(x)
+        if isinstance(x, bool) or not isinstance(
+                x, (int, float, Decimal, Fraction)):
+            raise ValueError(f"{where(i, j)} = {_shown(x)} is not a number")
+        if isinstance(x, (float, Decimal)) and not Decimal(x).is_finite():
+            raise ValueError(f"{where(i, j)} is not finite")
     exact = mode == EXACT or isinstance(x, str) and "/" in x
     if exact and isinstance(x, (str, Decimal)):
         x, limit = str(x), sys.get_int_max_str_digits() or math.inf
-        e = x.lower().partition("e")[2].lstrip("+-")
+        e = x.lower().partition("e")[2].lstrip("+-") if (
+            "e" in x or "E" in x) else ""
         if len(x) > limit or e.isdecimal() and len(x) + int(e) > limit:
             raise ValueError(f"{where(i, j)} exceeds the {limit}-digit limit")
     try:
@@ -123,7 +135,9 @@ def _scalar(x, mode, where, i, j):
         raise ValueError(f"{where(i, j)} overflows a float") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{where(i, j)} = {x!r} is not a number") from None
-    raise ValueError(f"{where(i, j)} is not finite")
+    # float() of a string or Decimal is not finite: a finite value overflowed
+    raise ValueError(f"{where(i, j)} " + (
+        "overflows a float" if Decimal(x).is_finite() else "is not finite"))
 
 
 def as_float_array(data):

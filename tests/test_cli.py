@@ -394,13 +394,13 @@ def test_weights_exit_code_comes_from_structure(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_json_entry_is_a_located_error(tmp_path, capsys, literal):
+    # the entry is named as in exact mode, by its place and its JSON value
     doc = ('{"kind": "matrix", "n": 2, "rows": [[0.5, 0.5], [%s, 1.0]]}'
            % literal)
     path = write(tmp_path, "m.json", doc)
-    code, out, err = run(capsys, "stationary", path)
-    assert code == 1
-    assert out == ""
-    assert "error: entry at row 2, column 1 is not finite" in err
+    shown = json.loads(literal)
+    assert run(capsys, "stationary", path) == (
+        1, "", f"error: row 2, column 1: {shown} is not finite\n")
 
 
 @pytest.mark.parametrize("literal, shown", [("NaN", "nan"),
@@ -418,9 +418,22 @@ def test_non_finite_json_entry_in_exact_mode_is_located(tmp_path, capsys,
 
 def test_overflowing_decimal_is_a_located_error(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "0.5 0.5\n1e999 0\n")
-    code, out, err = run(capsys, "stationary", path)
-    assert code == 1
-    assert "error: line 2, entry 1" in err
+    assert run(capsys, "stationary", path) == (
+        1, "", "error: line 2, entry 1: 1e999 overflows a float\n")
+
+
+@pytest.mark.parametrize("place, where", [
+    ("vector", "malformed vector entry '1e999':"),
+    ("epsilon", "malformed --epsilon value '1e999':"),
+])
+def test_a_decimal_overflowing_a_float_is_named_in_full(tmp_path, capsys,
+                                                        place, where):
+    # a float document, so the epsilon is read as a float
+    matrix = write(tmp_path, "m.txt", "0.5 0.5\n0.5 0.5\n")
+    argv = {"vector": ["verify", write(tmp_path, "pi.txt", "0.5 1e999\n"),
+                       matrix],
+            "epsilon": ["stationary", "--epsilon", "1e999", matrix]}[place]
+    assert run(capsys, *argv) == (1, "", f"error: {where} overflows a float\n")
 
 
 def test_verify_rejects_json_booleans(tmp_path, capsys):

@@ -391,3 +391,16 @@ def test_band_row_of_the_wrong_length_is_named():
     with pytest.raises(ValueError,
                        match="row 2 needs 1 off-diagonal parameters"):
         matrix_from_bands([[0.5], [0.25, 0.25]])
+
+
+def test_exact_bands_from_floats_are_read_exactly():
+    # each diagonal is the exact complement of the float parameters, not
+    # the float 1 - 0.1 read afterwards
+    p = matrix_from_bands([[0.1], [0.2]], mode="exact").p
+    assert p.tolist() == [[1 - F(0.1), F(0.1)], [F(0.2), 1 - F(0.2)]]
+    # the float 0.2 is twice the float 0.1 exactly
+    assert list(stationary(p).pi) == [F(2, 3), F(1, 3)]
+    # float and inferred modes keep the float diagonal
+    for mode in (None, "float"):
+        assert matrix_from_bands([[0.1], [0.2]], mode=mode).p.tolist() == [
+            [1 - 0.1, 0.1], [0.2, 1 - 0.2]]

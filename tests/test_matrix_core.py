@@ -1,4 +1,5 @@
-from decimal import Decimal
+import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from equilib import (
     minor_weights,
     principal_minor,
 )
+from equilib.cli import _literal
+from equilib.matrix_core import read_values
 from support import det_cofactor, make_rng, random_stochastic_rows
 
 F = Fraction
@@ -434,3 +437,89 @@ def test_minor_determinant_and_adjugate_coerce_once(monkeypatch):
     determinant(m)
     StochasticMatrix([[F(1, 2), F(1, 2)], [F(1), F(0)]])
     assert calls == [(6, 6)] * 3 + [(2, 2)]
+
+
+# --- the whole-document float read -----------------------------------------
+
+# decimals in the command line's literal grammar: a sign, digits with an
+# optional point, and an exponent from -345 to 320, so that subnormals and
+# overflow occur; and the exact midpoints of adjacent floats, each a
+# decimal that float() must round to even
+_DIGITS = st.text("0123456789", max_size=20)
+_WRITTEN = st.builds(
+    "{}{}{}{}{}".format, st.sampled_from(["", "+", "-"]), _DIGITS,
+    st.sampled_from([".", ""]), _DIGITS,
+    st.one_of(st.just(""), st.integers(-345, 320).map("e{}".format)),
+).filter(_literal)
+_WIDE = Context(prec=1200)  # a float's midpoint has at most 767 digits
+
+
+def _midpoint(x):
+    up = _WIDE.add(Decimal(x), Decimal(math.nextafter(x, math.inf)))
+    return f"{_WIDE.divide(up, 2):e}"
+
+
+_MIDPOINTS = st.floats(-1.7e308, 1.7e308).map(_midpoint)
+_DECIMALS = st.one_of(_WRITTEN, _MIDPOINTS)
+_FLOAT_READ = settings(max_examples=300, deadline=None, derandomize=True,
+                       database=None)
+
+
+def _float_by_float(rows):
+    """``rows`` of literals read by ``float()`` one at a time, a rational
+    through its Fraction, or the message naming the first that overflows."""
+    out = []
+    for i, row in enumerate(rows, start=1):
+        out.append([])
+        for j, t in enumerate(row, start=1):
+            try:
+                v = float(Fraction(t) if "/" in t else t)
+            except OverflowError:
+                v = math.inf
+            if math.isinf(v):
+                return f"entry at row {i}, column {j} overflows a float"
+            out[-1].append(v)
+    return np.array(out)
+
+
+def _read_whole(rows):
+    try:
+        return read_values(rows, "float")[1]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    """Equal messages, or float arrays equal bit for bit."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@_FLOAT_READ
+@given(st.lists(st.lists(_DECIMALS, min_size=3, max_size=3),
+                min_size=1, max_size=3))
+def test_float_read_of_decimal_literals_is_float_bit_for_bit(rows):
+    expected = _float_by_float(rows)
+    assert _same(_read_whole(rows), expected)
+    assert _same(_read_whole(np.array(rows)), expected)
+
+
+_ODD_ONES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 400, 10 ** 400),
+              st.integers(1, 10 ** 30)),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-9.5", "+.2"]),
+              st.integers(310, 320)),
+)
+
+
+@_FLOAT_READ
+@given(st.lists(_WRITTEN, min_size=4, max_size=4), _ODD_ONES,
+       st.integers(0, 3), st.integers(0, 1))
+def test_a_rational_or_overflowing_literal_is_read_as_one_by_one(
+        row, odd, j, i):
+    rows = [row, row]
+    rows[i] = row[:j] + [odd] + row[j + 1:]
+    expected = _float_by_float(rows)
+    assert _same(_read_whole(rows), expected)
+    assert _same(_read_whole(np.array(rows)), expected)

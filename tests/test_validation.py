@@ -8,6 +8,7 @@ polytope vertices read them instead of clearing ``P`` again.
 
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,14 @@ def _motivating_call(name):
         "1/0": lambda: StochasticMatrix([["1/0", 1], [0.5, 0.5]]),
         "float-overflow": lambda: StochasticMatrix([[10 ** 400, 0], [0, 1]],
                                                    mode="float"),
+        "string-overflow": lambda: StochasticMatrix([["1e999", 0], [0, 1]],
+                                                    mode="float"),
+        "decimal-overflow": lambda: StochasticMatrix(
+            [[Decimal("1e999"), 0], [0, 1]], mode="float"),
+        "string-inf": lambda: StochasticMatrix([["inf", 0], [0, 1]],
+                                               mode="float"),
+        "string-nan": lambda: StochasticMatrix([["-nan", 0], [0, 1]],
+                                               mode="float"),
         "nested": lambda: StochasticMatrix([[0.5, [0.5]], [1, 0]]),
         "deep": lambda: StochasticMatrix([[[1]]]),
         "huge-exponent": lambda: StochasticMatrix([["1e100000000", 0],
@@ -170,6 +179,10 @@ def _motivating_call(name):
     ("complex", "entry at row 1, column 1 = (0.5+0j) is not a number"),
     ("1/0", "entry at row 1, column 1 = '1/0' is not a number"),
     ("float-overflow", "entry at row 1, column 1 overflows a float"),
+    ("string-overflow", "entry at row 1, column 1 overflows a float"),
+    ("decimal-overflow", "entry at row 1, column 1 overflows a float"),
+    ("string-inf", "entry at row 1, column 1 is not finite"),
+    ("string-nan", "entry at row 1, column 1 is not finite"),
     ("nested", "entry at row 1, column 2 = [0.5] is not a number"),
     ("deep", "entry at row 1, column 1 = [1] is not a number"),
     ("huge-exponent", "entry at row 1, column 1 exceeds the 4300-digit limit"),
